@@ -11,7 +11,7 @@ using namespace lazygraph;
 using bench::Algo;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"machines", "scale"});
   bench::ExperimentConfig cfg;
   cfg.machines = static_cast<machine_t>(opts.get_int("machines", 48));
   cfg.dataset_scale = opts.get_double("scale", 1.0);

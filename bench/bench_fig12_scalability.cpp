@@ -15,7 +15,7 @@ using namespace lazygraph;
 using bench::Algo;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"scale"});
   bench::ExperimentConfig cfg;
   cfg.dataset_scale = opts.get_double("scale", 1.0);
   const std::vector<machine_t> machine_counts = {8, 16, 24, 32, 40, 48};

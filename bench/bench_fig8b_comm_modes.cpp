@@ -13,7 +13,7 @@ using namespace lazygraph;
 using bench::Algo;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"machines", "scale"});
   const sim::NetworkModel net{};
 
   std::cout << "Fig. 8(b): fitted communication time vs traffic\n\n";

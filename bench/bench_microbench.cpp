@@ -80,18 +80,16 @@ void BM_LazyPagerank(benchmark::State& state) {
 BENCHMARK(BM_LazyPagerank)->Arg(8)->Arg(48)->Unit(benchmark::kMillisecond);
 
 // The sweep-scaling cell (CI uploads its JSON as BENCH_sweep.json): one
-// all-active chunked apply+scatter sweep on a single machine holding the
-// full test graph, at 1/2/4/8 intra-machine threads. Items/sec ~ swept
-// edges/sec; the thread scaling is the tentpole's headline number.
+// all-active chunked apply+scatter sweep over machine 0's part of the test
+// graph cut over range(0) machines; the single /1 cell keeps the whole graph
+// on one machine. Items/sec ~ swept edges/sec.
 void BM_SweepScaling(benchmark::State& state) {
-  const auto tpm = static_cast<std::uint32_t>(state.range(0));
+  const auto machines = static_cast<machine_t>(state.range(0));
   const Graph& g = test_graph();
-  const machine_t machines = 1;
   const auto assignment = partition::assign_edges(
       g, machines, {partition::CutKind::kCoordinated, 1});
   const auto dg = partition::DistributedGraph::build(g, machines, assignment);
   const partition::Part& part = dg.part(0);
-  sim::Cluster cluster({machines, {}, 0});
   const algos::PageRankDelta prog{};
   auto states = engine::make_states(dg, prog);
   engine::PartState<algos::PageRankDelta>& s = states[0];
@@ -102,25 +100,18 @@ void BM_SweepScaling(benchmark::State& state) {
       engine::deposit_msg(prog, s, v, 1.0);
     }
     state.ResumeTiming();
-    last = engine::local_sweep(prog, part, s, engine::SweepMode::kSnapshot,
-                               {&cluster, tpm});
+    last = engine::local_sweep(prog, part, s, engine::SweepMode::kSnapshot);
     benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(part.num_local_edges()));
-  // Deterministic per-sweep work counters: identical across the tpm args
-  // (the sweep is bit-identical at any thread count), so the bench gate can
-  // pin them exactly while time_per_sweep varies with the machine.
+  // Deterministic per-sweep work counters, so the bench gate can pin them
+  // exactly while time_per_sweep varies with the machine.
   state.counters["sweep_work"] = static_cast<double>(last.work);
   state.counters["sweep_applies"] = static_cast<double>(last.applies);
   state.counters["sweep_scanned"] = static_cast<double>(last.scanned);
 }
-BENCHMARK(BM_SweepScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepScaling)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One BM_SweepDirection cell body: rebuilds pristine state each iteration
 // (outside the timed region) so every sweep sees the identical frontier —
@@ -135,7 +126,6 @@ engine::SweepCounters sweep_direction_cell(benchmark::State& state,
       g, machines, {partition::CutKind::kCoordinated, 1});
   const auto dg = partition::DistributedGraph::build(g, machines, assignment);
   const partition::Part& part = dg.part(0);
-  sim::Cluster cluster({machines, {}, 0});
   const auto dir =
       static_cast<engine::SweepDirection>(static_cast<int>(state.range(1)));
   auto states = engine::make_states(dg, prog);
@@ -151,8 +141,7 @@ engine::SweepCounters sweep_direction_cell(benchmark::State& state,
     }
     state.ResumeTiming();
     last = engine::local_sweep(prog, part, states[0],
-                               engine::SweepMode::kSnapshot, {&cluster, 4},
-                               dir);
+                               engine::SweepMode::kSnapshot, dir);
     benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -161,7 +150,7 @@ engine::SweepCounters sweep_direction_cell(benchmark::State& state,
 }
 
 // The direction-optimizing cell (rides in BENCH_sweep.json): one chunked
-// snapshot sweep at 4 threads on the single-machine test graph. arg0 is the
+// snapshot sweep on the single-machine test graph. arg0 is the
 // frontier shape — 0 = dense (pagerank-delta, every vertex seeded), 1 =
 // sparse (sssp, every 128th vertex seeded); arg1 is the direction — 0 push,
 // 1 pull, 2 adaptive. sweep_cost is the direction-sensitive work model

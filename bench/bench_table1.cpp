@@ -10,7 +10,7 @@
 using namespace lazygraph;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"machines", "scale"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 48));
   const double scale = opts.get_double("scale", 1.0);

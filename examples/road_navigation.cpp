@@ -15,7 +15,7 @@
 using namespace lazygraph;
 
 int main(int argc, char** argv) {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"machines", "scale", "source"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 16));
   const double scale = opts.get_double("scale", 0.2);

@@ -35,9 +35,6 @@ struct AsyncOptions {
   std::uint64_t max_rounds = 1'000'000;
   /// Optional pipeline-stage injection (see InitInjection; not owned).
   const InitInjection* init = nullptr;
-  /// Accepted for RunConfig parity; inert — the eager engine's serial
-  /// Gauss-Seidel sweeps are push by definition.
-  SweepDirection sweep = SweepDirection::kAdaptive;
 };
 
 template <VertexProgram P>

@@ -4,8 +4,8 @@
 // The bitset does not own memory: PartState carves `words_for(n)` 64-bit
 // words per flag set out of its slab and attach()es views. Writes go through
 // a proxy that RMWs the containing word with relaxed std::atomic_ref ops:
-// parallel sweep chunks and the sync engine's cross-machine gather set/clear
-// flags of *distinct* vertices concurrently, and distinct bits of one word
+// the sync engine's cross-machine gather sets/clears flags of *distinct*
+// vertices concurrently, and distinct bits of one word
 // commute under fetch_or/fetch_and — so the result is bit-identical to the
 // serial order regardless of interleaving. Reads are plain loads: every
 // reader runs after the writers' fork/join barrier (pool join or serial

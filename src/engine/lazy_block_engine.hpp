@@ -20,12 +20,9 @@
 // The adaptive interval model (Section 4.2.1) decides when lazy mode turns
 // on; per Algorithm 1 line 16 it is sticky once enabled.
 //
-// All sweeps are frontier-driven, and threads_per_machine > 1 runs them
-// chunk-parallel. Note the thread budget is an *algorithm* knob here (like
-// staleness): a parallel Stage 1 uses snapshot sub-sweeps instead of
-// Gauss-Seidel ones, which changes the (equally valid) intermediate
-// schedules — but for any fixed budget the run is bit-deterministic across
-// cluster thread counts.
+// All sweeps are frontier-driven, and each machine runs its own serially
+// (Gauss-Seidel sub-sweeps in Stage 1, a snapshot sweep at the coherency
+// point), so the run is bit-deterministic across cluster thread counts.
 #pragma once
 
 #include <algorithm>
@@ -46,14 +43,11 @@ struct LazyOptions {
   std::uint64_t max_supersteps = 1'000'000;
   IntervalModelConfig interval = {};
   CommModePolicy comm_policy = CommModePolicy::kAdaptive;
-  /// Intra-machine thread budget for the local sweeps. Values > 1 switch
-  /// Stage 1 from Gauss-Seidel to snapshot sub-sweeps (see header comment).
-  std::uint32_t threads_per_machine = 1;
   /// Optional pipeline-stage injection (see InitInjection; not owned).
   const InitInjection* init = nullptr;
-  /// Direction policy for the chunk-parallel local sweeps (push staging, CSC
-  /// pull, or the adaptive frontier-density rule). Serial Gauss-Seidel
-  /// sub-sweeps are push by definition and ignore the knob.
+  /// Direction policy for the coherency-point snapshot sweeps (push staging,
+  /// CSC pull, or the adaptive frontier-density rule). Stage 1's
+  /// Gauss-Seidel sub-sweeps are push by definition and ignore the knob.
   SweepDirection sweep = SweepDirection::kAdaptive;
 };
 
@@ -98,7 +92,6 @@ class LazyBlockAsyncEngine {
     exch_bytes_.assign(p, 0);
     exch_up_coders_.assign(std::size_t{p} * p, {});
     exch_down_coders_.assign(std::size_t{p} * p, {});
-    const SweepExec exec{&cluster_, opts_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -140,8 +133,8 @@ class LazyBlockAsyncEngine {
           std::uint64_t budget = 0;
           bool first = true;
           for (;;) {
-            const SweepCounters c = local_sweep(
-                prog_, part, s, SweepMode::kGaussSeidel, exec, opts_.sweep);
+            const SweepCounters c =
+                local_sweep(prog_, part, s, SweepMode::kGaussSeidel);
             scanned[m] += c.scanned;
             sweepc[m] += c;
             if (c.work != 0 || c.pull_rounds != 0) {
@@ -204,7 +197,7 @@ class LazyBlockAsyncEngine {
       cluster_.parallel_machines([&](machine_t m) {
         const SweepCounters c =
             local_sweep(prog_, dg_.part(m), states_[m], SweepMode::kSnapshot,
-                        exec, opts_.sweep);
+                        opts_.sweep);
         work[m] = c.work;
         applies[m] = c.applies;
         scanned[m] = c.scanned;

@@ -31,9 +31,6 @@ struct LazyVertexOptions {
   std::uint32_t staleness = 4;
   /// Optional pipeline-stage injection (see InitInjection; not owned).
   const InitInjection* init = nullptr;
-  /// Accepted for RunConfig parity; inert — the vertex-grained engine's
-  /// serial Gauss-Seidel sweeps are push by definition.
-  SweepDirection sweep = SweepDirection::kAdaptive;
 };
 
 template <VertexProgram P>

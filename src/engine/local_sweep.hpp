@@ -6,24 +6,19 @@
 // already replicated on every machine of the target.
 //
 // Two executions of the same sweep:
-//   - sweep_gauss_seidel: serial, frontier-driven worklist in ascending lvid
-//     order; deposits are visible to later vertices of the same sweep.
-//   - sweep_chunked: snapshot semantics, deterministically parallel, in one
-//     of two directions (adaptive by default, Beamer-style):
-//       push — the entry frontier is split into edge-balanced chunks; each
-//       worker stages its deposits in chunk-private buffers bucketed by
-//       target range, and the merge folds every target's messages in
-//       (chunk asc, emission asc) order. That per-target fold order equals
-//       the serial emission order, so results are bit-identical for ANY
-//       thread count and ANY range count — ranges only redistribute which
-//       thread performs a fold, never its order.
+//   - sweep_gauss_seidel: frontier-driven worklist in ascending lvid order;
+//     deposits are visible to later vertices of the same sweep.
+//   - sweep_chunked: snapshot semantics over edge-balanced chunks, in one of
+//     two directions (adaptive by default, Beamer-style):
+//       push — each chunk stages its deposits in a chunk-private buffer, and
+//       the merge folds every target's messages in (chunk asc, emission asc)
+//       order, which equals the serial emission order.
 //       pull — applies park their scatter payloads in the slab arena, then
-//       target-parallel workers fold each target's in-edge CSC run (ordered
-//       by (source lvid, original edge index) at graph build) directly into
-//       the message slots: no staging, no merge barrier. The run order
-//       equals the push merge's per-target fold order over the same
-//       productive edges, so the two directions are bit-identical too
-//       (DESIGN §5k).
+//       the fold walks each target's in-edge CSC run (ordered by (source
+//       lvid, original edge index) at graph build) directly into the message
+//       slots: no staging, no merge. The run order equals the push merge's
+//       per-target fold order over the same productive edges, so the two
+//       directions are bit-identical (DESIGN §5k).
 #pragma once
 
 #include <algorithm>
@@ -33,7 +28,6 @@
 
 #include "engine/state.hpp"
 #include "engine/sweep_direction.hpp"
-#include "util/function_ref.hpp"
 
 namespace lazygraph::engine {
 
@@ -120,9 +114,6 @@ enum class SweepMode {
   /// Deposits made during the sweep are visible to later vertices of the
   /// same sweep — the paper's local computation stage ("new local views
   /// visible to local neighbours immediately"). Fast local convergence.
-  /// Requesting more than one thread switches to snapshot semantics (the
-  /// thread budget is an algorithm knob, like staleness — Gauss-Seidel's
-  /// in-sweep dependency chain cannot be parallelized deterministically).
   kGaussSeidel,
   /// Only vertices with a message at sweep entry are processed; everything
   /// deposited during the sweep waits for the next round. This is Algorithm
@@ -133,85 +124,32 @@ enum class SweepMode {
   kSnapshot,
 };
 
-/// Items per worker chunk in the deterministic parallel sweep — now only the
-/// run_chunks granularity for callers that slice plain index ranges; the
-/// sweep itself uses edge-balanced chunks (kSweepEdgeBudget below).
-inline constexpr std::size_t kSweepChunk = 256;
-
-/// Cumulative (1 + degree) weight budget per sweep chunk. Degree-derived —
-/// never thread-derived — so the chunk decomposition (and with it the merge
-/// order and every counter) is identical across thread counts, while a run
-/// of high-degree vertices splits into many chunks instead of serializing
-/// one worker behind the heaviest vertex.
+/// Cumulative (1 + degree) weight budget per sweep chunk. Degree-derived,
+/// so the chunk decomposition (and with it the merge order and the
+/// staged/pushed counters) depends only on the frontier and the part.
 inline constexpr std::uint64_t kSweepEdgeBudget = 2048;
 
-/// Intra-machine execution budget for a sweep: which cluster's pool to
-/// borrow and how many threads this machine may use. Default = serial.
-struct SweepExec {
-  const sim::Cluster* cluster = nullptr;
-  std::uint32_t threads = 1;
-};
-
-/// Runs body(begin, end) over [0, n) in kSweepChunk-aligned slices, on the
-/// cluster pool when the exec budget allows, inline otherwise.
-inline void run_chunks(const SweepExec& exec, std::size_t n,
-                       std::size_t chunk_size,
-                       util::FunctionRef<void(std::size_t, std::size_t)> body) {
-  if (exec.cluster != nullptr && exec.threads > 1) {
-    exec.cluster->run_chunks(n, chunk_size, exec.threads, body);
-    return;
-  }
-  for (std::size_t b = 0; b < n; b += chunk_size) {
-    body(b, std::min(n, b + chunk_size));
-  }
-}
-
-/// Write handle a chunk worker stages its deposits through: (target, msg)
-/// pairs land in this chunk's private buckets, partitioned by target range
-/// so merge workers own disjoint targets.
+/// Write handle a chunk stages its deposits through: (target, msg) pairs
+/// land in this chunk's private bucket.
 template <class Msg>
 class ChunkEmitter {
  public:
-  ChunkEmitter(SweepScratch<Msg>& sc, std::size_t chunk, std::size_t nranges,
-               lvid_t n)
-      : sc_(sc),
-        base_(chunk * nranges),
-        last_(nranges - 1),
-        scale_(static_cast<double>(nranges) /
-               static_cast<double>(n ? n : 1)) {}
+  ChunkEmitter(SweepScratch<Msg>& sc, std::size_t chunk)
+      : bucket_(sc.buckets[chunk]) {}
 
-  void msg(lvid_t v, const Msg& m) {
-    sc_.buckets[base_ + range_of(v)].msgs.emplace_back(v, m);
-  }
-  void delta(lvid_t v, const Msg& m) {
-    sc_.buckets[base_ + range_of(v)].deltas.emplace_back(v, m);
-  }
+  void msg(lvid_t v, const Msg& m) { bucket_.msgs.emplace_back(v, m); }
+  void delta(lvid_t v, const Msg& m) { bucket_.deltas.emplace_back(v, m); }
 
  private:
-  /// One multiply per deposit against the reciprocal precomputed at sweep
-  /// setup (the old v*nranges/n paid a widening multiply AND a divide on
-  /// every deposit). Range assignment only decides WHICH merge worker folds
-  /// a target — never the fold order — so the formula need not match the
-  /// old integer rounding; it only has to be deterministic, which IEEE
-  /// double multiply is. The clamp covers rounding at the top edge.
-  std::size_t range_of(lvid_t v) const {
-    const auto r =
-        static_cast<std::size_t>(static_cast<double>(v) * scale_);
-    return r < last_ ? r : last_;
-  }
-
-  SweepScratch<Msg>& sc_;
-  const std::size_t base_;
-  const std::size_t last_;
-  const double scale_;
+  typename SweepScratch<Msg>::Bucket& bucket_;
 };
 
 /// Splits `n` items into chunks closed at the fixed kSweepEdgeBudget
 /// cumulative weight: chunk c spans items [bounds[c], bounds[c+1]) and, when
 /// `weights` is non-null, weights[c] holds the chunk's total weight (the
 /// staging reserve hint). weight(i) must be >= 1 so zero-degree runs still
-/// advance the budget. Purely degree-derived: identical for every thread
-/// count, which keeps the merge order — and every counter — thread-invariant.
+/// advance the budget. Purely degree-derived, which fixes the merge order
+/// and every counter for a given frontier.
 template <class Weight>
 void build_weighted_chunks(std::size_t n, Weight&& weight,
                            std::vector<std::size_t>& bounds,
@@ -234,30 +172,26 @@ void build_weighted_chunks(std::size_t n, Weight&& weight,
   }
 }
 
-/// The deterministic chunk-and-ordered-merge engine (the PUSH direction):
-/// runs produce(i, emitter, counters) for every item i in [0, n_items),
-/// staging all deposits, then folds them into s.msg / s.delta. item_of(i)
-/// maps an item to its local vertex — the edge-balanced chunk decomposition
-/// weighs each item by 1 + its local out-degree.
+/// The chunk-and-ordered-merge pass (the PUSH direction): runs
+/// produce(i, emitter, counters) for every item i in [0, n_items), staging
+/// all deposits, then folds them into s.msg / s.delta. item_of(i) maps an
+/// item to its local vertex — the edge-balanced chunk decomposition weighs
+/// each item by 1 + its local out-degree.
 ///
-/// Stage A (parallel over edge-balanced chunks): workers run `produce`,
-/// staging deposits in chunk-private buckets (reserved up front to the
-/// chunk's balanced per-range share so staging never reallocates mid-chunk)
-/// and counting into chunk-private counters.
-/// Stage B (parallel over target ranges): each range worker folds its
-/// targets' staged pairs in (chunk asc, emission asc) order via the raw
-/// deposits, recording fresh activations per range.
-/// Stage C (serial): activations are appended to the frontiers (their lists
-/// are not thread-safe), counters folded in chunk order, and the staging
-/// pool's usage recorded for the trim policy.
+/// Stage A (per edge-balanced chunk): `produce` stages deposits in the
+/// chunk's bucket (reserved up front so staging never reallocates
+/// mid-chunk) and counts into chunk-private counters.
+/// Stage B: the merge folds every target's staged pairs in (chunk asc,
+/// emission asc) order via the raw deposits, recording fresh activations.
+/// Stage C: activations are appended to the frontiers, counters folded in
+/// chunk order, and the staging pool's usage recorded for the trim policy.
 ///
 /// `produce` may freely mutate per-item-exclusive state (s.vdata[item's
 /// vertex]) but must route every msg/delta deposit through the emitter.
 template <VertexProgram P, class ItemOf, class Produce>
 SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
                                    PartState<P>& s, std::size_t n_items,
-                                   const SweepExec& exec, ItemOf&& item_of,
-                                   Produce&& produce) {
+                                   ItemOf&& item_of, Produce&& produce) {
   SweepCounters c;
   if (n_items == 0) return c;
   auto& sc = s.scratch;
@@ -269,32 +203,23 @@ SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
       },
       sc.chunk_bounds, &sc.chunk_edges);
   const std::size_t nchunks = sc.chunk_bounds.size() - 1;
-  // Range count caps the merge fanout; it does NOT affect results (per-target
-  // fold order is range-independent), so deriving it from the budget is safe.
-  const std::size_t nranges =
-      std::max<std::size_t>(1, std::min<std::size_t>(exec.threads, 16));
-  const std::size_t need = nchunks * nranges;
-  if (sc.buckets.size() < need) sc.buckets.resize(need);  // grow-only pool
-  for (std::size_t b = 0; b < need; ++b) {
+  if (sc.buckets.size() < nchunks) sc.buckets.resize(nchunks);  // grow-only
+  for (std::size_t b = 0; b < nchunks; ++b) {
     sc.buckets[b].msgs.clear();
     sc.buckets[b].deltas.clear();
   }
   sc.chunk_counters.assign(nchunks, SweepCounters{});
-  if (sc.msg_activations.size() < nranges) sc.msg_activations.resize(nranges);
-  if (sc.delta_activations.size() < nranges) {
-    sc.delta_activations.resize(nranges);
-  }
-  for (std::size_t r = 0; r < nranges; ++r) {
-    sc.msg_activations[r].clear();
-    sc.delta_activations[r].clear();
-  }
+  if (sc.msg_activations.empty()) sc.msg_activations.resize(1);
+  if (sc.delta_activations.empty()) sc.delta_activations.resize(1);
+  auto& fresh_msgs = sc.msg_activations[0];
+  auto& fresh_deltas = sc.delta_activations[0];
+  fresh_msgs.clear();
+  fresh_deltas.clear();
 
-  const lvid_t n = part.num_local();
-  // Uniform bucket reserve hint: the balanced per-range share of the
-  // heaviest chunk ANY frontier can produce (a chunk closes past the budget,
-  // so its weight is < budget + the heaviest single item), with +16 slack
-  // absorbing uneven target hashing. Frontier-independent on purpose: the
-  // chunk -> bucket index mapping shifts between sweeps as the frontier
+  // Uniform bucket reserve hint: the heaviest chunk ANY frontier can produce
+  // (a chunk closes past the budget, so its weight is < budget + the
+  // heaviest single item), with +16 slack. Frontier-independent on purpose:
+  // the chunk -> bucket index mapping shifts between sweeps as the frontier
   // shrinks, so a per-chunk hint keeps meeting colder buckets and
   // reallocates in steady state; this bound warms every bucket once.
   if (sc.max_item_weight == 0) {
@@ -304,61 +229,39 @@ SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
     }
   }
   const std::size_t hint =
-      static_cast<std::size_t>(kSweepEdgeBudget + sc.max_item_weight) /
-          nranges +
-      16;
-  run_chunks(exec, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t ci = cb; ci < ce; ++ci) {
-      for (std::size_t r = 0; r < nranges; ++r) {
-        auto& bk = sc.buckets[ci * nranges + r];
-        if (bk.msgs.capacity() < hint) bk.msgs.reserve(hint);
-        if (bk.deltas.capacity() < hint) bk.deltas.reserve(hint);
-      }
-      ChunkEmitter<typename P::Msg> em(sc, ci, nranges, n);
-      SweepCounters& cc = sc.chunk_counters[ci];
-      for (std::size_t i = sc.chunk_bounds[ci]; i < sc.chunk_bounds[ci + 1];
-           ++i) {
-        produce(i, em, cc);
-      }
-    }
-  });
-
-  run_chunks(exec, nranges, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      auto& fresh_msgs = sc.msg_activations[r];
-      auto& fresh_deltas = sc.delta_activations[r];
-      for (std::size_t ci = 0; ci < nchunks; ++ci) {
-        const auto& bucket = sc.buckets[ci * nranges + r];
-        for (const auto& [v, m] : bucket.msgs) {
-          if (deposit_msg_raw(prog, s, v, m)) fresh_msgs.push_back(v);
-        }
-        for (const auto& [v, m] : bucket.deltas) {
-          if (deposit_delta_raw(prog, s, v, m)) fresh_deltas.push_back(v);
-        }
-      }
-    }
-  });
-
-  std::size_t activations = 0;
-  for (std::size_t r = 0; r < nranges; ++r) {
-    activations +=
-        sc.msg_activations[r].size() + sc.delta_activations[r].size();
-    for (const lvid_t v : sc.msg_activations[r]) s.frontier.activate(v);
-    for (const lvid_t v : sc.delta_activations[r]) {
-      s.delta_frontier.activate(v);
-    }
-  }
-  for (const SweepCounters& cc : sc.chunk_counters) c += cc;
-  // What the uniform reserve asked the pool to retain: every bucket of every
-  // chunk, msgs + deltas, at `hint` pairs each.
-  std::uint64_t requested = 2 * static_cast<std::uint64_t>(need) * hint;
+      static_cast<std::size_t>(kSweepEdgeBudget + sc.max_item_weight) + 16;
   for (std::size_t ci = 0; ci < nchunks; ++ci) {
-    for (std::size_t r = 0; r < nranges; ++r) {
-      const auto& bucket = sc.buckets[ci * nranges + r];
-      c.pushed += bucket.msgs.size();
-      c.staged += bucket.msgs.size() + bucket.deltas.size();
+    auto& bk = sc.buckets[ci];
+    if (bk.msgs.capacity() < hint) bk.msgs.reserve(hint);
+    if (bk.deltas.capacity() < hint) bk.deltas.reserve(hint);
+    ChunkEmitter<typename P::Msg> em(sc, ci);
+    SweepCounters& cc = sc.chunk_counters[ci];
+    for (std::size_t i = sc.chunk_bounds[ci]; i < sc.chunk_bounds[ci + 1];
+         ++i) {
+      produce(i, em, cc);
     }
   }
+
+  for (std::size_t ci = 0; ci < nchunks; ++ci) {
+    const auto& bucket = sc.buckets[ci];
+    for (const auto& [v, m] : bucket.msgs) {
+      if (deposit_msg_raw(prog, s, v, m)) fresh_msgs.push_back(v);
+    }
+    for (const auto& [v, m] : bucket.deltas) {
+      if (deposit_delta_raw(prog, s, v, m)) fresh_deltas.push_back(v);
+    }
+    c.pushed += bucket.msgs.size();
+    c.staged += bucket.msgs.size() + bucket.deltas.size();
+  }
+
+  const std::size_t activations = fresh_msgs.size() + fresh_deltas.size();
+  for (const lvid_t v : fresh_msgs) s.frontier.activate(v);
+  for (const lvid_t v : fresh_deltas) s.delta_frontier.activate(v);
+  for (const SweepCounters& cc : sc.chunk_counters) c += cc;
+  // What the uniform reserve asked the pool to retain: every chunk's bucket,
+  // msgs + deltas, at `hint` pairs each.
+  const std::uint64_t requested =
+      2 * static_cast<std::uint64_t>(nchunks) * hint;
   // The sweep's working set: what it staged (or asked the pool to reserve,
   // whichever is larger) plus the snapshot-side scratch. Feeds the 4x
   // high-water trim policy.
@@ -372,7 +275,7 @@ SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
   return c;
 }
 
-/// The PULL direction's fold: target-parallel scan of the part's in-edge CSC
+/// The PULL direction's fold: a target-chunked scan of the part's in-edge CSC
 /// mirror, folding contributions from every source whose has_payload flag is
 /// up straight into s.msg — no staging, no merge barrier. Each target's
 /// in-edge run is ordered (source lvid, original edge index) at graph build,
@@ -384,7 +287,7 @@ SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
 /// the payload lifecycle (set before, retire after).
 template <bool WithDeltas, VertexProgram P>
 SweepCounters pull_deposit_pass(const P& prog, const partition::Part& part,
-                                PartState<P>& s, const SweepExec& exec) {
+                                PartState<P>& s) {
   SweepCounters c;
   c.pull_rounds = 1;
   auto& sc = s.scratch;
@@ -415,40 +318,36 @@ SweepCounters pull_deposit_pass(const P& prog, const partition::Part& part,
   }
   constexpr std::size_t kPair = sizeof(std::pair<lvid_t, typename P::Msg>);
 
-  run_chunks(exec, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t ci = cb; ci < ce; ++ci) {
-      SweepCounters& cc = sc.chunk_counters[ci];
-      auto& fresh_msgs = sc.msg_activations[ci];
-      auto& fresh_deltas = sc.delta_activations[ci];
-      const auto tb = static_cast<lvid_t>(sc.target_bounds[ci]);
-      const auto te = static_cast<lvid_t>(sc.target_bounds[ci + 1]);
-      for (lvid_t t = tb; t < te; ++t) {
-        for (std::uint64_t e = part.in_offsets[t]; e < part.in_offsets[t + 1];
-             ++e) {
-          ++cc.pulled;
-          const lvid_t u = part.in_sources[e];
-          if (!s.has_payload[u]) continue;
-          const typename P::Msg out = prog.scatter(
-              s.payload[u], vertex_info<P>(part, u), part.in_weights[e]);
-          if (deposit_msg_raw(prog, s, t, out)) fresh_msgs.push_back(t);
+  for (std::size_t ci = 0; ci < nchunks; ++ci) {
+    SweepCounters& cc = sc.chunk_counters[ci];
+    auto& fresh_msgs = sc.msg_activations[ci];
+    auto& fresh_deltas = sc.delta_activations[ci];
+    const auto tb = static_cast<lvid_t>(sc.target_bounds[ci]);
+    const auto te = static_cast<lvid_t>(sc.target_bounds[ci + 1]);
+    for (lvid_t t = tb; t < te; ++t) {
+      for (std::uint64_t e = part.in_offsets[t]; e < part.in_offsets[t + 1];
+           ++e) {
+        ++cc.pulled;
+        const lvid_t u = part.in_sources[e];
+        if (!s.has_payload[u]) continue;
+        const typename P::Msg out = prog.scatter(
+            s.payload[u], vertex_info<P>(part, u), part.in_weights[e]);
+        if (deposit_msg_raw(prog, s, t, out)) fresh_msgs.push_back(t);
+        cc.staging_avoided_bytes += kPair;
+        if (WithDeltas && !part.in_parallel_mode[e] &&
+            part.num_replicas(t) > 1) {
+          if (deposit_delta_raw(prog, s, t, out)) fresh_deltas.push_back(t);
           cc.staging_avoided_bytes += kPair;
-          if (WithDeltas && !part.in_parallel_mode[e] &&
-              part.num_replicas(t) > 1) {
-            if (deposit_delta_raw(prog, s, t, out)) {
-              fresh_deltas.push_back(t);
-            }
-            cc.staging_avoided_bytes += kPair;
-          }
-          ++cc.work;  // one productive edge = push's one emitted out-edge
         }
+        ++cc.work;  // one productive edge = push's one emitted out-edge
       }
     }
-  });
+  }
 
-  // Serial epilogue: activations concatenate in target-chunk order
-  // (ascending target). That differs from push's range-grouped order, but
-  // the SET and count are identical, and every frontier consumer is
-  // entry-order-independent (heap-sorted, sort_unique'd, or a flag scan).
+  // Activations concatenate in target-chunk order (ascending target). That
+  // differs from push's merge order, but the SET and count are identical,
+  // and every frontier consumer is entry-order-independent (heap-sorted,
+  // sort_unique'd, or a flag scan).
   std::size_t activations = 0;
   for (std::size_t k = 0; k < nchunks; ++k) {
     activations +=
@@ -466,13 +365,12 @@ SweepCounters pull_deposit_pass(const P& prog, const partition::Part& part,
 }
 
 /// Snapshot-semantics sweep via the chunked pass: collect the entry frontier
-/// in ascending lvid order, then apply+scatter it chunk-parallel — push or
+/// in ascending lvid order, then apply+scatter it chunk by chunk — push or
 /// pull per `dir` (adaptive resolves per sweep from the frontier's out-edge
-/// mass). Bit-identical to a serial snapshot sweep for every thread count
-/// and every direction.
+/// mass). Bit-identical to a serial snapshot sweep in every direction.
 template <VertexProgram P>
 SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
-                            PartState<P>& s, const SweepExec& exec,
+                            PartState<P>& s,
                             SweepDirection dir = SweepDirection::kAdaptive) {
   SweepCounters c;
   const lvid_t n = part.num_local();
@@ -516,9 +414,9 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
   }
 
   if (d == SweepDirection::kPull && has_mirror && !sc.snapshot.empty()) {
-    // Stage 1 (parallel over edge-balanced item chunks): apply each
-    // snapshot vertex and park its scatter payload in the slab arena's
-    // payload slot for the fold to read.
+    // Stage 1 (per edge-balanced item chunk): apply each snapshot vertex
+    // and park its scatter payload in the slab arena's payload slot for the
+    // fold to read.
     build_weighted_chunks(
         sc.snapshot.size(),
         [&](std::size_t i) {
@@ -528,26 +426,24 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
         sc.chunk_bounds, &sc.chunk_edges);
     const std::size_t nchunks = sc.chunk_bounds.size() - 1;
     sc.chunk_counters.assign(nchunks, SweepCounters{});
-    run_chunks(exec, nchunks, 1, [&](std::size_t cb, std::size_t ce) {
-      for (std::size_t ci = cb; ci < ce; ++ci) {
-        SweepCounters& cc = sc.chunk_counters[ci];
-        for (std::size_t i = sc.chunk_bounds[ci];
-             i < sc.chunk_bounds[ci + 1]; ++i) {
-          const lvid_t v = sc.snapshot[i];
-          ++cc.applies;
-          ++cc.work;  // the apply; productive edges are counted by the fold
-          s.applied[v] = 1;  // item-exclusive, like s.vdata[v]
-          const auto payload =
-              prog.apply(s.vdata[v], vertex_info<P>(part, v), sc.accums[i]);
-          if (!payload) continue;
-          s.payload[v] = *payload;
-          s.has_payload[v] = 1;
-        }
+    for (std::size_t ci = 0; ci < nchunks; ++ci) {
+      SweepCounters& cc = sc.chunk_counters[ci];
+      for (std::size_t i = sc.chunk_bounds[ci]; i < sc.chunk_bounds[ci + 1];
+           ++i) {
+        const lvid_t v = sc.snapshot[i];
+        ++cc.applies;
+        ++cc.work;  // the apply; productive edges are counted by the fold
+        s.applied[v] = 1;
+        const auto payload =
+            prog.apply(s.vdata[v], vertex_info<P>(part, v), sc.accums[i]);
+        if (!payload) continue;
+        s.payload[v] = *payload;
+        s.has_payload[v] = 1;
       }
-    });
+    }
     for (const SweepCounters& cc : sc.chunk_counters) c += cc;
     // Stage 2: fold every target's in-edge run from the payload slots.
-    c += pull_deposit_pass<true>(prog, part, s, exec);
+    c += pull_deposit_pass<true>(prog, part, s);
     // The payload slots were pull staging: retire the flags. (The residue
     // values are dead but deterministic, so state images stay comparable.)
     for (const lvid_t v : sc.snapshot) s.has_payload[v] = 0;
@@ -555,7 +451,7 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
   }
 
   const SweepCounters folded = chunked_deposit_pass(
-      prog, part, s, sc.snapshot.size(), exec,
+      prog, part, s, sc.snapshot.size(),
       [&](std::size_t i) { return sc.snapshot[i]; },
       [&](std::size_t i, ChunkEmitter<typename P::Msg>& em,
           SweepCounters& cc) {
@@ -563,7 +459,7 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
         const VertexInfo info = vertex_info<P>(part, v);
         ++cc.applies;
         ++cc.work;
-        s.applied[v] = 1;  // item-exclusive, like s.vdata[v]
+        s.applied[v] = 1;
         const auto payload = prog.apply(s.vdata[v], info, sc.accums[i]);
         if (!payload) return;
         for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1];
@@ -683,18 +579,16 @@ SweepCounters sweep_gauss_seidel(const P& prog, const partition::Part& part,
 }
 
 /// One apply+scatter sweep on machine `m` over replicas with pending
-/// messages (ascending lvid order; bit-deterministic for any exec budget
-/// and any direction). `dir` steers the chunked sweep only — Gauss-Seidel
-/// is serial push by definition (its in-sweep dependency chain has no pull
-/// formulation).
+/// messages (ascending lvid order; bit-deterministic in any direction).
+/// `dir` steers the snapshot sweep only — Gauss-Seidel is push by
+/// definition (its in-sweep dependency chain has no pull formulation).
 template <VertexProgram P>
 SweepCounters local_sweep(const P& prog, const partition::Part& part,
                           PartState<P>& s,
                           SweepMode mode = SweepMode::kGaussSeidel,
-                          const SweepExec& exec = {},
                           SweepDirection dir = SweepDirection::kAdaptive) {
-  if (mode == SweepMode::kSnapshot || exec.threads > 1) {
-    return sweep_chunked(prog, part, s, exec, dir);
+  if (mode == SweepMode::kSnapshot) {
+    return sweep_chunked(prog, part, s, dir);
   }
   return sweep_gauss_seidel(prog, part, s);
 }

@@ -1,11 +1,13 @@
 // The engine front door: one RunConfig carrying the engine kind, the
 // per-engine knobs, and an optional Tracer, dispatched through
-// engine::run(). Replaces the four parallel option structs callers used to
-// assemble by hand.
+// engine::run(). The only place that constructs an engine: the CLI, the plan
+// executor, the query server and the differential oracle all come through
+// here.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/async_engine.hpp"
@@ -57,15 +59,10 @@ struct RunConfig {
   double graph_ev_ratio = 0.0;
   /// Optional span/snapshot recorder, attached to the cluster for the run.
   sim::Tracer* tracer = nullptr;
-  /// Intra-machine thread budget for the engines' local sweeps (sync and
-  /// lazy-block). Purely an execution knob for sync; for lazy-block, values
-  /// > 1 also switch Stage 1 to snapshot sub-sweeps (an algorithm knob) —
-  /// either way results are bit-deterministic for a fixed value.
-  std::uint32_t threads_per_machine = 1;
-  /// Direction policy for the chunk-parallel local sweeps (sync scatter and
-  /// lazy-block Stage 1 / coherency sweeps): push staging, CSC pull, or the
-  /// adaptive frontier-density rule. The serial Gauss-Seidel engines (async,
-  /// lazy-vertex) are push by definition and ignore it.
+  /// Direction policy for the chunked snapshot sweeps (sync scatter and
+  /// lazy-block coherency sweeps): push staging, CSC pull, or the adaptive
+  /// frontier-density rule. The Gauss-Seidel sweeps (async, lazy-vertex,
+  /// lazy-block Stage 1) are push by definition and ignore it.
   SweepDirection sweep = SweepDirection::kAdaptive;
 
   // --- lazy-block ---
@@ -92,10 +89,14 @@ struct RunConfig {
 /// Runs `prog` over `dg` on `cluster` with the engine cfg.kind selects.
 /// All engines return the same RunResult field set; when cfg.tracer is set
 /// it is attached for the duration of the run (restoring any tracer the
-/// cluster already had) and handed back via RunResult::trace.
+/// cluster already had) and handed back via RunResult::trace. A non-empty
+/// `inspector` is called at every point where the engine guarantees
+/// coherent replicas (see each engine's set_coherency_inspector). It is an
+/// argument rather than a RunConfig field because its type depends on P.
 template <VertexProgram P>
 RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
-                 const P& prog, sim::Cluster& cluster) {
+                 const P& prog, sim::Cluster& cluster,
+                 std::type_identity_t<CoherencyInspector<P>> inspector = {}) {
   sim::Tracer* const previous = cluster.tracer();
   if (cfg.tracer) {
     cluster.set_tracer(cfg.tracer);
@@ -126,32 +127,29 @@ RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
   const InitInjection* injp =
       (inj.has_frontier || inj.vdata) ? &inj : nullptr;
 
+  auto run_engine = [&](auto&& e) {
+    e.set_coherency_inspector(std::move(inspector));
+    return e.run();
+  };
   RunResult<P> result;
   switch (cfg.kind) {
     case EngineKind::kSync:
-      result = SyncEngine<P>(dg, prog, cluster,
-                             {cfg.max_supersteps, cfg.threads_per_machine,
-                              injp, cfg.sweep})
-                   .run();
+      result = run_engine(SyncEngine<P>(
+          dg, prog, cluster, {cfg.max_supersteps, injp, cfg.sweep}));
       break;
     case EngineKind::kAsync:
-      result = AsyncEngine<P>(dg, prog, cluster,
-                              {cfg.max_supersteps, injp, cfg.sweep})
-                   .run();
+      result = run_engine(
+          AsyncEngine<P>(dg, prog, cluster, {cfg.max_supersteps, injp}));
       break;
     case EngineKind::kLazyBlock:
-      result = LazyBlockAsyncEngine<P>(
-                   dg, prog, cluster,
-                   {cfg.max_supersteps, cfg.interval, cfg.comm_policy,
-                    cfg.threads_per_machine, injp, cfg.sweep},
-                   ev_ratio)
-                   .run();
+      result = run_engine(LazyBlockAsyncEngine<P>(
+          dg, prog, cluster,
+          {cfg.max_supersteps, cfg.interval, cfg.comm_policy, injp, cfg.sweep},
+          ev_ratio));
       break;
     case EngineKind::kLazyVertex:
-      result = LazyVertexAsyncEngine<P>(
-                   dg, prog, cluster,
-                   {cfg.max_supersteps, cfg.staleness, injp, cfg.sweep})
-                   .run();
+      result = run_engine(LazyVertexAsyncEngine<P>(
+          dg, prog, cluster, {cfg.max_supersteps, cfg.staleness, injp}));
       break;
   }
   if (cfg.tracer) cluster.set_tracer(previous);

@@ -119,23 +119,22 @@ struct SweepScratch {
   std::vector<Msg> accums;
   // Gauss-Seidel worklist (binary min-heap of pending lvids).
   std::vector<lvid_t> heap;
-  // Chunk-private deposit buffers, linearized [chunk][target range]: workers
-  // stage (target, message) pairs here, the merge folds them in chunk order.
+  // Chunk-private deposit buffers, one per chunk: the push sweep stages
+  // (target, message) pairs here, the merge folds them in chunk order.
   struct Bucket {
     std::vector<std::pair<lvid_t, Msg>> msgs;
     std::vector<std::pair<lvid_t, Msg>> deltas;
   };
   std::vector<Bucket> buckets;
   std::vector<SweepCounters> chunk_counters;
-  // Fresh activations observed by each merge range (push) or target chunk
-  // (pull), appended to the frontiers serially after the join (frontier
-  // lists are not thread-safe).
+  // Fresh activations observed by the merge (push, one list) or by each
+  // target chunk (pull), appended to the frontiers after the fold.
   std::vector<std::vector<lvid_t>> msg_activations;
   std::vector<std::vector<lvid_t>> delta_activations;
   // Edge-balanced chunk decomposition of the current sweep's item list:
   // bounds[c]..bounds[c+1] are the items of chunk c, closed at a fixed
   // cumulative (1 + out-degree) budget; edges[c] is the chunk's weight (the
-  // bucket reserve hint). Degree-derived, so identical across thread counts.
+  // bucket reserve hint). Degree-derived, so fixed by the frontier.
   std::vector<std::size_t> chunk_bounds;
   std::vector<std::uint64_t> chunk_edges;
   // Static edge-balanced decomposition of the target id space for the pull
@@ -394,9 +393,9 @@ VertexInfo vertex_info(const partition::Part& part, lvid_t v) {
 
 /// Sum-combines `m` into the message slot of `v` WITHOUT touching the
 /// frontier; returns whether this was a fresh (0->1) activation. For
-/// contexts that record activations out-of-band: parallel merge workers
-/// (frontier lists are not thread-safe) and folds whose flag is consumed
-/// before the next frontier derivation.
+/// contexts that record activations out-of-band: the chunked merge and the
+/// pull fold (which append them to the frontiers after the fold) and folds
+/// whose flag is consumed before the next frontier derivation.
 template <VertexProgram P>
 bool deposit_msg_raw(const P& prog, PartState<P>& s, lvid_t v,
                      const typename P::Msg& m) {

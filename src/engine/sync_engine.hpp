@@ -15,8 +15,7 @@
 // The superstep is frontier-driven: pending masters are derived from the
 // per-machine frontiers (sorted ascending, so every pass visits the same
 // vertices in the same order as the historical whole-array scans), and the
-// scatter pass runs chunk-parallel within each machine when the
-// threads_per_machine budget allows — bit-identical for any budget.
+// scatter pass runs over edge-balanced chunks with an ordered merge.
 #pragma once
 
 #include <algorithm>
@@ -33,9 +32,6 @@ namespace lazygraph::engine {
 
 struct SyncOptions {
   std::uint64_t max_supersteps = 1'000'000;
-  /// Intra-machine thread budget for the scatter sweep (results are
-  /// bit-identical across budgets; this is purely an execution knob here).
-  std::uint32_t threads_per_machine = 1;
   /// Optional pipeline-stage injection (see InitInjection; not owned).
   const InitInjection* init = nullptr;
   /// Scatter-sweep direction (results are bit-identical across directions;
@@ -61,7 +57,6 @@ class SyncEngine {
     states_ = make_states(dg_, prog_, opts_.init);
     cluster_.metrics().sweep_scanned +=
         init_eager_messages(prog_, dg_, states_, opts_.init);
-    const SweepExec exec{&cluster_, opts_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -246,11 +241,11 @@ class SyncEngine {
         }
         SweepCounters c;
         if (d == SweepDirection::kPull && has_mirror && !list.empty()) {
-          c = pull_deposit_pass<false>(prog_, part, s, exec);
+          c = pull_deposit_pass<false>(prog_, part, s);
           for (const lvid_t v : list) s.has_payload[v] = 0;
         } else {
           c = chunked_deposit_pass(
-              prog_, part, s, list.size(), exec,
+              prog_, part, s, list.size(),
               [&](std::size_t i) { return list[i]; },
               [&](std::size_t i, ChunkEmitter<typename P::Msg>& em,
                   SweepCounters& cc) {

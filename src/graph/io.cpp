@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -32,19 +33,23 @@ bool is_line_space(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
 }
 
-// One chunk's parse output. `error` holds the chunk's first malformed line
-// (empty = clean); errors are reported from the lowest-index failing chunk,
-// which is exactly the file's first malformed line.
+// One chunk's parse output. `error` describes the chunk's first rejected
+// line (empty = clean) and `error_pos` is that line's offset in the text;
+// errors are reported from the lowest-index failing chunk, which is exactly
+// the file's first rejected line.
 struct ChunkParse {
   std::vector<Edge> edges;
   vid_t max_id = 0;
   std::string error;
+  std::size_t error_pos = 0;
 };
 
 // Parses one "src dst [weight]" line (istream-compatible semantics: ids are
 // read as uint64 then narrowed to vid_t, a missing or unparsable weight
-// defaults to 1.0, trailing content is ignored).
-bool parse_line(const char* begin, const char* end, ChunkParse& out) {
+// defaults to 1.0, trailing content is ignored). Returns null on success,
+// else why the line is rejected: no parsable endpoints, or a weight that is
+// NaN, infinite, or outside the float range edges store.
+const char* parse_line(const char* begin, const char* end, ChunkParse& out) {
   const auto skip_ws = [&](const char* p) {
     while (p < end && is_line_space(*p)) ++p;
     return p;
@@ -52,21 +57,24 @@ bool parse_line(const char* begin, const char* end, ChunkParse& out) {
   const char* p = skip_ws(begin);
   std::uint64_t src = 0, dst = 0;
   auto r = std::from_chars(p, end, src);
-  if (r.ec != std::errc{}) return false;
+  if (r.ec != std::errc{}) return "malformed edge-list line";
   p = skip_ws(r.ptr);
   r = std::from_chars(p, end, dst);
-  if (r.ec != std::errc{}) return false;
+  if (r.ec != std::errc{}) return "malformed edge-list line";
   p = skip_ws(r.ptr);
   double weight = 1.0;
   if (p < end) {
     const auto wr = std::from_chars(p, end, weight);
     if (wr.ec != std::errc{}) weight = 1.0;
+    if (!(std::abs(weight) <= std::numeric_limits<float>::max())) {
+      return "non-finite edge weight";
+    }
   }
   out.edges.push_back({static_cast<vid_t>(src), static_cast<vid_t>(dst),
                        static_cast<float>(weight)});
   out.max_id = std::max({out.max_id, static_cast<vid_t>(src),
                          static_cast<vid_t>(dst)});
-  return true;
+  return nullptr;
 }
 
 void parse_chunk(std::string_view text, std::size_t begin, std::size_t end,
@@ -77,9 +85,11 @@ void parse_chunk(std::string_view text, std::size_t begin, std::size_t end,
     if (nl == std::string_view::npos) nl = text.size();
     // Comment / blank handling matches the line-by-line reader exactly.
     if (nl > pos && text[pos] != '#') {
-      if (!parse_line(text.data() + pos, text.data() + nl, out)) {
-        out.error = "malformed edge-list line: " +
+      if (const char* why =
+              parse_line(text.data() + pos, text.data() + nl, out)) {
+        out.error = std::string(why) + ": " +
                     std::string(text.substr(pos, nl - pos));
+        out.error_pos = pos;
         return;
       }
     }
@@ -121,7 +131,12 @@ Graph read_edge_list_text(std::string_view text, const ReadOptions& opts) {
   });
 
   for (const ChunkParse& c : chunks) {
-    if (!c.error.empty()) throw std::runtime_error(c.error);
+    if (c.error.empty()) continue;
+    const auto line =
+        1 + std::count(text.begin(),
+                       text.begin() + static_cast<std::ptrdiff_t>(c.error_pos),
+                       '\n');
+    throw std::runtime_error("line " + std::to_string(line) + ": " + c.error);
   }
 
   std::size_t total = 0;

@@ -293,7 +293,6 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
   key = mix_double(key, opts.split.teps);
   key = mix_double(key, opts.split.high_degree_percentile);
   key = mix(key, opts.split.low_degree_bound);
-  key = mix(key, opts.threads_per_machine);
   key = mix(key, opts.max_supersteps);
   key = mix(key, opts.staleness);
   key = mix(key, static_cast<std::uint64_t>(opts.comm_policy));
@@ -314,8 +313,10 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
   PipelineResult out;
   out.stages.resize(n);
   out.outcomes.resize(n);
-  sim::Cluster cluster(
-      sim::ClusterConfig{machines_, {}, opts.threads_per_machine});
+  // One host thread. Results are identical at any cluster width; whether a
+  // parallel cluster pays for plan runs is unmeasured.
+  constexpr std::size_t kClusterThreads = 1;
+  sim::Cluster cluster(sim::ClusterConfig{machines_, {}, kClusterThreads});
 
   std::shared_ptr<const VertexScope> scope =
       VertexScope::full(g_.num_vertices());
@@ -460,7 +461,6 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
     cfg.kind = kinds[grp.first];
     cfg.max_supersteps = opts.max_supersteps;
     cfg.tracer = opts.tracer;
-    cfg.threads_per_machine = opts.threads_per_machine;
     cfg.interval = opts.interval;
     cfg.comm_policy = opts.comm_policy;
     cfg.staleness = opts.staleness;

@@ -49,7 +49,6 @@ namespace lazygraph::plan {
 /// sequential_baseline).
 struct LowerOptions {
   engine::EngineKind default_engine = engine::EngineKind::kLazyBlock;
-  std::uint32_t threads_per_machine = 1;
   std::uint64_t max_supersteps = 1'000'000;
   std::uint32_t staleness = 4;                 // lazy-vertex
   engine::IntervalModelConfig interval = {};   // lazy-block

@@ -1,12 +1,9 @@
-// Runs one batch of same-family queries through an engine and slices the
-// result back into per-lane outcomes, with per-lane coherency accounting.
-//
-// The executor constructs engines directly (instead of going through
-// engine::run) because the per-lane accounting needs the coherency
-// inspector hook, which RunConfig does not expose. run_solo runs the plain
-// single-lane program through the identical construction path with the
-// identical liveness probe, so batched-vs-solo comparisons of both state
-// and coherency-point counts are apples-to-apples.
+// Runs one batch of same-family queries through engine::run and slices the
+// result back into per-lane outcomes, with per-lane coherency accounting
+// taken by a coherency inspector. run_solo runs the plain single-lane
+// program through the identical path with the identical liveness probe, so
+// batched-vs-solo comparisons of both state and coherency-point counts are
+// apples-to-apples.
 #pragma once
 
 #include <cstdint>
@@ -17,23 +14,6 @@
 #include "serve/batched.hpp"
 
 namespace lazygraph::serve {
-
-/// Engine knobs one batch runs with (the subset of engine::RunConfig a
-/// server pins for its lifetime, minus the plan-layer injection fields).
-struct BatchRunOptions {
-  engine::EngineKind kind = engine::EngineKind::kLazyBlock;
-  std::uint64_t max_supersteps = 1'000'000;
-  std::uint32_t threads_per_machine = 1;
-  /// E/V ratio for the lazy-block interval model; <= 0 derives it from dg.
-  double graph_ev_ratio = 0.0;
-  engine::IntervalModelConfig interval = {};
-  engine::CommModePolicy comm_policy = engine::CommModePolicy::kAdaptive;
-  std::uint32_t staleness = 4;  // lazy-vertex
-  /// Local-sweep direction (sync + lazy-block; see RunConfig::sweep).
-  engine::SweepDirection sweep = engine::SweepDirection::kAdaptive;
-  /// Optional span recorder attached to the cluster for the run.
-  sim::Tracer* tracer = nullptr;
-};
 
 /// One lane's slice of a batched run.
 template <engine::VertexProgram P>
@@ -57,63 +37,10 @@ struct BatchOutcome {
 
 namespace detail {
 
-/// Shared engine-construction switch: builds the engine for `prog` (plain or
-/// batched), attaches `inspector`, runs, and returns the RunResult. Mirrors
-/// engine::run's dispatch (including the tracer attach/restore protocol).
-template <engine::VertexProgram P, class Inspector>
-engine::RunResult<P> run_with_inspector(
-    const partition::DistributedGraph& dg, const P& prog,
-    const BatchRunOptions& o, sim::Cluster& cluster, Inspector&& inspector) {
-  sim::Tracer* const previous = cluster.tracer();
-  if (o.tracer) {
-    cluster.set_tracer(o.tracer);
-    o.tracer->set_run_info(engine::to_string(o.kind));
-  }
-  const double ev_ratio =
-      o.graph_ev_ratio > 0.0 ? o.graph_ev_ratio : dg.user_ev_ratio();
-
-  engine::RunResult<P> result;
-  switch (o.kind) {
-    case engine::EngineKind::kSync: {
-      engine::SyncEngine<P> e(
-          dg, prog, cluster,
-          {o.max_supersteps, o.threads_per_machine, nullptr, o.sweep});
-      e.set_coherency_inspector(inspector);
-      result = e.run();
-      break;
-    }
-    case engine::EngineKind::kAsync: {
-      engine::AsyncEngine<P> e(dg, prog, cluster, {o.max_supersteps});
-      e.set_coherency_inspector(inspector);
-      result = e.run();
-      break;
-    }
-    case engine::EngineKind::kLazyBlock: {
-      engine::LazyBlockAsyncEngine<P> e(
-          dg, prog, cluster,
-          {o.max_supersteps, o.interval, o.comm_policy, o.threads_per_machine,
-           nullptr, o.sweep},
-          ev_ratio);
-      e.set_coherency_inspector(inspector);
-      result = e.run();
-      break;
-    }
-    case engine::EngineKind::kLazyVertex: {
-      engine::LazyVertexAsyncEngine<P> e(dg, prog, cluster,
-                                         {o.max_supersteps, o.staleness});
-      e.set_coherency_inspector(inspector);
-      result = e.run();
-      break;
-    }
-  }
-  if (o.tracer) cluster.set_tracer(previous);
-  return result;
-}
-
 template <std::size_t K, engine::VertexProgram P>
 BatchOutcome<P> run_batched_width(const partition::DistributedGraph& dg,
                                   const std::vector<P>& progs,
-                                  const BatchRunOptions& o,
+                                  const engine::RunConfig& o,
                                   sim::Cluster& cluster) {
   BatchedProgram<P, K> bp;
   bp.width = progs.size();
@@ -121,8 +48,8 @@ BatchOutcome<P> run_batched_width(const partition::DistributedGraph& dg,
 
   std::array<std::uint64_t, K> live{};
   std::uint64_t points = 0;
-  const auto r = run_with_inspector(
-      dg, bp, o, cluster,
+  const auto r = engine::run(
+      o, dg, bp, cluster,
       [&](std::uint64_t,
           const std::vector<engine::PartState<BatchedProgram<P, K>>>&
               states) {
@@ -154,7 +81,8 @@ BatchOutcome<P> run_batched_width(const partition::DistributedGraph& dg,
 template <engine::VertexProgram P>
 BatchOutcome<P> run_batched(const partition::DistributedGraph& dg,
                             const std::vector<P>& progs,
-                            const BatchRunOptions& o, sim::Cluster& cluster) {
+                            const engine::RunConfig& o,
+                            sim::Cluster& cluster) {
   const std::size_t w = progs.size();
   if (w == 0 || w > kMaxBatchLanes) {
     throw std::invalid_argument("run_batched: batch width must be 1..16");
@@ -171,10 +99,10 @@ BatchOutcome<P> run_batched(const partition::DistributedGraph& dg,
 /// of a batched run must be bit-identical to.
 template <engine::VertexProgram P>
 BatchOutcome<P> run_solo(const partition::DistributedGraph& dg, const P& prog,
-                         const BatchRunOptions& o, sim::Cluster& cluster) {
+                         const engine::RunConfig& o, sim::Cluster& cluster) {
   std::uint64_t live = 0, points = 0;
-  const auto r = detail::run_with_inspector(
-      dg, prog, o, cluster,
+  const auto r = engine::run(
+      o, dg, prog, cluster,
       [&](std::uint64_t,
           const std::vector<engine::PartState<P>>& states) {
         ++points;

@@ -102,7 +102,7 @@ void run_family_batch(const partition::DistributedGraph& dg,
     if (opts.verify_solo) {
       sim::Cluster solo_cluster(
           {dg.num_machines(), {}, opts.cluster_threads});
-      BatchRunOptions solo_run = opts.run;
+      engine::RunConfig solo_run = opts.run;
       solo_run.tracer = nullptr;  // the solo shadow run is not part of the
                                   // served timeline
       const auto solo = run_solo(dg, progs[j], solo_run, solo_cluster);

@@ -37,7 +37,10 @@ struct BatchPolicy {
 };
 
 struct ServeOptions {
-  BatchRunOptions run = {};
+  /// Engine knobs every batch runs with. The plan-layer injection fields
+  /// (initial_frontier, initial_state) must stay unset: initial_state is
+  /// typed by the plain program, not by its batched lane wrapper.
+  engine::RunConfig run = {};
   BatchPolicy policy = {};
   /// Worker threads of the per-batch sim::Cluster (0 = hardware).
   std::size_t cluster_threads = 1;

@@ -54,17 +54,6 @@ class Cluster {
   /// serial path (pool absent) performs no heap allocation per call.
   void parallel_machines(util::FunctionRef<void(machine_t)> body);
 
-  /// Runs body(begin, end) over [0, n) in chunk_size slices using up to
-  /// `threads` threads (the intra-machine budget — including the caller,
-  /// which is typically already a pool worker inside parallel_machines).
-  /// Inline when the budget is 1, the pool is absent, or a single chunk
-  /// covers everything. body must be safe to run concurrently per chunk;
-  /// callers own determinism (merge in chunk order).
-  void run_chunks(std::size_t n, std::size_t chunk_size,
-                  std::uint32_t threads,
-                  util::FunctionRef<void(std::size_t, std::size_t)> body)
-      const;
-
   /// Charges compute time for one stage: max over machines of the given
   /// per-machine edge-traversal counts, at TEPS. Also accumulates the raw
   /// traversal counter. The kinded overload labels the stage's span.

@@ -98,55 +98,36 @@ RunOutput<P> run_one(EngineKind kind, const partition::DistributedGraph& dg,
       }
     };
   };
-  switch (kind) {
-    case EngineKind::kSync: {
-      engine::SyncOptions so;
-      so.max_supersteps = o.max_supersteps;
-      so.threads_per_machine = s.threads_per_machine;
-      so.sweep = s.sweep;
-      engine::SyncEngine<P> e(dg, prog, cluster, so);
-      if (with_inspector) e.set_coherency_inspector(make_inspector(eager_eq));
-      out.result = e.run();
-      break;
-    }
-    case EngineKind::kAsync: {
-      engine::AsyncEngine<P> e(dg, prog, cluster, {o.max_supersteps});
-      if (with_inspector) e.set_coherency_inspector(make_inspector(eager_eq));
-      out.result = e.run();
-      break;
-    }
-    case EngineKind::kLazyBlock: {
-      engine::LazyOptions lo;
-      lo.max_supersteps = o.max_supersteps;
-      lo.interval.policy = s.interval_policy;
-      lo.comm_policy = s.comm_policy;
-      lo.threads_per_machine = s.threads_per_machine;
-      lo.sweep = s.sweep;
-      engine::LazyBlockAsyncEngine<P> e(dg, prog, cluster, lo,
-                                        dg.user_ev_ratio());
+  engine::RunConfig cfg;
+  cfg.kind = kind;
+  cfg.max_supersteps = o.max_supersteps;
+  cfg.sweep = s.sweep;
+  cfg.interval.policy = s.interval_policy;
+  cfg.comm_policy = s.comm_policy;
+  cfg.staleness = s.staleness;
+  engine::CoherencyInspector<P> inspector;
+  if (with_inspector) {
+    if (!is_lazy(kind)) {
+      inspector = make_inspector(eager_eq);
+    } else if (kind == EngineKind::kLazyVertex ||
+               dg.parallel_edge_copies() == 0) {
+      inspector = make_inspector(lazy_replica_eq);
+    } else {
       // Parallel-edges graphs deliver split-edge scatters eagerly through
       // per-machine edge copies, and the source replicas emit differently
-      // grouped payload sequences — so intermediate views legitimately
-      // differ and identical views are only promised at termination.
-      const bool split = dg.parallel_edge_copies() > 0;
-      const auto inspect = make_inspector(lazy_replica_eq);
-      if (with_inspector && !split) e.set_coherency_inspector(inspect);
-      out.result = e.run();
-      if (with_inspector && split && out.result.converged) {
-        inspect(out.result.supersteps, e.states());
-      }
-      break;
-    }
-    case EngineKind::kLazyVertex: {
-      engine::LazyVertexAsyncEngine<P> e(dg, prog, cluster,
-                                         {o.max_supersteps, s.staleness});
-      if (with_inspector) {
-        e.set_coherency_inspector(make_inspector(lazy_replica_eq));
-      }
-      out.result = e.run();
-      break;
+      // grouped payload sequences — so lazy-block's intermediate views
+      // legitimately differ and identical views are only promised at
+      // termination. Keep only the last call's verdict: the terminal
+      // quiescent exchange fires the inspector on the final states.
+      inspector = [&out, check = make_inspector(lazy_replica_eq)](
+                      std::uint64_t superstep,
+                      const std::vector<engine::PartState<P>>& states) {
+        out.coherency_failure.reset();
+        check(superstep, states);
+      };
     }
   }
+  out.result = engine::run(cfg, dg, prog, cluster, std::move(inspector));
   out.sim_seconds = cluster.metrics().sim_seconds();
   return out;
 }
@@ -649,10 +630,9 @@ std::optional<std::string> run_batch_program(const Scenario& s,
   for (const EngineKind kind : kBatchEngines) {
     const auto& dg =
         is_lazy(kind) && dg_split_p ? *dg_split_p : *dg_plain_p;
-    serve::BatchRunOptions bo;
+    engine::RunConfig bo;
     bo.kind = kind;
     bo.max_supersteps = o.max_supersteps;
-    bo.threads_per_machine = s.threads_per_machine;
     bo.interval.policy = s.interval_policy;
     bo.comm_policy = s.comm_policy;
     bo.staleness = s.staleness;
@@ -814,7 +794,6 @@ Verdict check_pipeline_scenario(const Scenario& s, const OracleOptions& opts) {
                                             .seed = s.partition_seed};
     plan::LowerOptions base;
     base.default_engine = engine::engine_kind_from_string(s.plan_engine);
-    base.threads_per_machine = s.threads_per_machine;
     base.max_supersteps = opts.max_supersteps;
     base.staleness = s.staleness;
     base.interval.policy = s.interval_policy;

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <istream>
+#include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -138,7 +140,6 @@ std::string Scenario::summary() const {
   os << " staleness=" << staleness
      << " interval=" << engine::to_string(interval_policy)
      << " comm=" << engine::to_string(comm_policy)
-     << " tpm=" << threads_per_machine
      << " sweep=" << engine::to_string(sweep);
   if (has_pipeline()) {
     os << " pipeline=" << pipeline << " plan_engine=" << plan_engine;
@@ -151,7 +152,7 @@ std::string Scenario::summary() const {
 void Scenario::to_text(std::ostream& os) const {
   // %.17g round-trips every finite double exactly.
   char buf[64];
-  os << "lazygraph-scenario v6\n";
+  os << "lazygraph-scenario\n";
   os << "seed " << seed << "\n";
   os << "vertices " << num_vertices << "\n";
   os << "machines " << machines << "\n";
@@ -166,7 +167,6 @@ void Scenario::to_text(std::ostream& os) const {
   std::snprintf(buf, sizeof buf, "%.17g", alpha);
   os << "alpha " << buf << "\n";
   os << "staleness " << staleness << "\n";
-  os << "threads_per_machine " << threads_per_machine << "\n";
   os << "interval " << engine::to_string(interval_policy) << "\n";
   os << "comm " << engine::to_string(comm_policy) << "\n";
   // Pipeline text is one space-free token by construction (the plan grammar
@@ -199,79 +199,98 @@ Scenario Scenario::from_text(std::istream& is) {
     throw std::invalid_argument("scenario parse error: " + why);
   };
   std::string line;
-  if (!std::getline(is, line)) fail("missing scenario header");
-  // v1 dumps predate the threads_per_machine key, v2 dumps predate the
-  // pipeline keys, v3 dumps predate the kill key, v4 dumps predate the
-  // batch key, and v5 dumps predate the sweep key; all parse with the
-  // defaults (tpm=1, no pipeline, no failures, no batch, adaptive sweep),
-  // so old corpus files stay replayable bit-for-bit.
-  int version = 0;
-  if (line == "lazygraph-scenario v1") {
-    version = 1;
-  } else if (line == "lazygraph-scenario v2") {
-    version = 2;
-  } else if (line == "lazygraph-scenario v3") {
-    version = 3;
-  } else if (line == "lazygraph-scenario v4") {
-    version = 4;
-  } else if (line == "lazygraph-scenario v5") {
-    version = 5;
-  } else if (line == "lazygraph-scenario v6") {
-    version = 6;
-  } else {
-    fail("missing 'lazygraph-scenario v1|v2|v3|v4|v5|v6' header");
+  if (!std::getline(is, line) || line != "lazygraph-scenario") {
+    fail("missing 'lazygraph-scenario' header");
   }
+  // Keyed lines in any order up to the edge list, which comes last. An
+  // absent key keeps its default; an unknown or repeated key is an error.
   Scenario s;
-  auto expect_key = [&](const std::string& key) -> std::string {
-    std::string k, v;
-    if (!(is >> k >> v) || k != key) fail("expected key '" + key + "'");
-    return v;
+  using Setter = void (*)(Scenario&, const std::string&);
+  const std::map<std::string, Setter> keys = {
+      {"seed",
+       [](Scenario& c, const std::string& v) { c.seed = std::stoull(v); }},
+      {"vertices",
+       [](Scenario& c, const std::string& v) {
+         c.num_vertices = static_cast<vid_t>(std::stoul(v));
+       }},
+      {"machines",
+       [](Scenario& c, const std::string& v) {
+         c.machines = static_cast<machine_t>(std::stoul(v));
+       }},
+      {"cut",
+       [](Scenario& c, const std::string& v) { c.cut = cut_from_string(v); }},
+      {"partition_seed",
+       [](Scenario& c, const std::string& v) {
+         c.partition_seed = std::stoull(v);
+       }},
+      {"split", [](Scenario& c, const std::string& v) { c.split = v != "0"; }},
+      {"program",
+       [](Scenario& c, const std::string& v) {
+         c.program = program_kind_from_string(v);
+       }},
+      {"source",
+       [](Scenario& c, const std::string& v) {
+         c.source = static_cast<vid_t>(std::stoul(v));
+       }},
+      {"kcore_k",
+       [](Scenario& c, const std::string& v) {
+         c.kcore_k = static_cast<std::uint32_t>(std::stoul(v));
+       }},
+      {"tol", [](Scenario& c, const std::string& v) { c.tol = std::stod(v); }},
+      {"alpha",
+       [](Scenario& c, const std::string& v) { c.alpha = std::stod(v); }},
+      {"staleness",
+       [](Scenario& c, const std::string& v) {
+         c.staleness = static_cast<std::uint32_t>(std::stoul(v));
+       }},
+      {"interval",
+       [](Scenario& c, const std::string& v) {
+         c.interval_policy = interval_from_string(v);
+       }},
+      {"comm",
+       [](Scenario& c, const std::string& v) {
+         c.comm_policy = comm_from_string(v);
+       }},
+      {"pipeline",
+       [](Scenario& c, const std::string& v) {
+         // "-" means no pipeline; parsing validates and canonicalizes.
+         c.pipeline = v == "-" ? "" : plan::Pipeline::parse(v).to_string();
+       }},
+      {"plan_engine",
+       [](Scenario& c, const std::string& v) {
+         engine::engine_kind_from_string(v);  // validates; throws
+         c.plan_engine = v;
+       }},
+      {"kill",
+       [](Scenario& c, const std::string& v) {
+         c.kill = v == "-" ? "" : sim::FailurePlan::parse(v).to_string();
+       }},
+      {"batch",
+       [](Scenario& c, const std::string& v) {
+         c.batch = v == "-" ? "" : v;
+         const auto lanes = c.batch_lanes();  // validates; throws
+         if (lanes.size() + 1 > 16) {
+           throw std::invalid_argument(
+               "scenario parse error: more than 16 batch lanes");
+         }
+         c.batch = join_lanes(lanes);  // canonical form
+       }},
+      {"sweep",
+       [](Scenario& c, const std::string& v) {
+         c.sweep = engine::sweep_direction_from_string(v);
+       }},
   };
-  s.seed = std::stoull(expect_key("seed"));
-  s.num_vertices = static_cast<vid_t>(std::stoul(expect_key("vertices")));
-  s.machines = static_cast<machine_t>(std::stoul(expect_key("machines")));
-  s.cut = cut_from_string(expect_key("cut"));
-  s.partition_seed = std::stoull(expect_key("partition_seed"));
-  s.split = expect_key("split") != "0";
-  s.program = program_kind_from_string(expect_key("program"));
-  s.source = static_cast<vid_t>(std::stoul(expect_key("source")));
-  s.kcore_k = static_cast<std::uint32_t>(std::stoul(expect_key("kcore_k")));
-  s.tol = std::stod(expect_key("tol"));
-  s.alpha = std::stod(expect_key("alpha"));
-  s.staleness = static_cast<std::uint32_t>(std::stoul(expect_key("staleness")));
-  if (version >= 2) {
-    s.threads_per_machine = static_cast<std::uint32_t>(
-        std::stoul(expect_key("threads_per_machine")));
+  std::set<std::string> seen;
+  std::string k, v;
+  for (;;) {
+    if (!(is >> k >> v)) fail("missing 'edges' key");
+    if (k == "edges") break;
+    const auto it = keys.find(k);
+    if (it == keys.end()) fail("unknown key '" + k + "'");
+    if (!seen.insert(k).second) fail("duplicate key '" + k + "'");
+    it->second(s, v);
   }
-  s.interval_policy = interval_from_string(expect_key("interval"));
-  s.comm_policy = comm_from_string(expect_key("comm"));
-  if (version >= 3) {
-    const std::string p = expect_key("pipeline");
-    if (p != "-") {
-      s.pipeline = plan::Pipeline::parse(p).to_string();  // validates
-    }
-    s.plan_engine = expect_key("plan_engine");
-    engine::engine_kind_from_string(s.plan_engine);  // validates; throws
-  }
-  if (version >= 4) {
-    const std::string k = expect_key("kill");
-    if (k != "-") {
-      s.kill = sim::FailurePlan::parse(k).to_string();  // validates
-    }
-  }
-  if (version >= 5) {
-    const std::string b = expect_key("batch");
-    if (b != "-") {
-      s.batch = b;
-      const auto lanes = s.batch_lanes();  // validates; throws
-      if (lanes.size() + 1 > 16) fail("more than 16 batch lanes");
-      s.batch = join_lanes(lanes);  // canonical form
-    }
-  }
-  if (version >= 6) {
-    s.sweep = engine::sweep_direction_from_string(expect_key("sweep"));
-  }
-  const std::uint64_t num_edges = std::stoull(expect_key("edges"));
+  const std::uint64_t num_edges = std::stoull(v);
   s.edges.reserve(num_edges);
   for (std::uint64_t i = 0; i < num_edges; ++i) {
     Edge e;
@@ -283,6 +302,7 @@ Scenario Scenario::from_text(std::istream& is) {
     e.weight = static_cast<float>(w);
     s.edges.push_back(e);
   }
+  if (!(is >> std::ws).eof()) fail("content after the edge list");
   return s;
 }
 
@@ -410,15 +430,8 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
                                        CommModePolicy::kForceAllToAll,
                                        CommModePolicy::kForceMirrorsToMaster};
   s.comm_policy = kComms[rng.below(3)];
-  // Drawn last so every earlier field of pre-existing corpus seeds is
-  // unchanged by the knob's introduction. 7 is deliberately not a divisor of
-  // the sweep chunk size, exercising ragged chunk/range splits.
-  constexpr std::uint32_t kTpm[] = {1, 2, 7};
-  s.threads_per_machine = kTpm[rng.below(3)];
 
   // --- pipeline (plan layer) ---
-  // Drawn after tpm for the same reason tpm is drawn last: earlier fields of
-  // pre-existing corpus seeds are unchanged by the pipeline's introduction.
   // About a quarter of scenarios exercise the record-then-lower path; the
   // oracle then checks the composed lowering against the sequential
   // reference lowering instead of the single-program differential matrix.
@@ -444,8 +457,6 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
   }
 
   // --- fault injection ---
-  // Drawn last, after the pipeline, for the usual reason: earlier fields of
-  // pre-existing corpus seeds are unchanged by the knob's introduction.
   // About a quarter of non-pipeline scenarios inject a machine failure; the
   // oracle then re-runs every engine with the kill installed and requires
   // the recovered run to converge bit-identically to the failure-free one.
@@ -456,8 +467,7 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
   }
 
   // --- serving-layer batch lanes ---
-  // Drawn after the kill, keeping earlier fields of pre-existing corpus
-  // seeds unchanged. About a quarter of eligible scenarios (per-query
+  // About a quarter of eligible scenarios (per-query
   // parameterized program, no pipeline, no kill) add 1-3 extra lanes; the
   // oracle then packs all lanes into one batched engine run and checks each
   // against its solo run instead of the four-engine differential matrix.
@@ -478,8 +488,7 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
   }
 
   // --- sweep direction ---
-  // Drawn last (after batch), keeping earlier fields of pre-existing corpus
-  // seeds unchanged. All three directions must be bit-identical, so the
+  // All three directions must be bit-identical, so the
   // generator exercises forced push and forced pull alongside the adaptive
   // rule; the oracle additionally pins all three against each other for a
   // deterministic subset of engines.

@@ -68,13 +68,10 @@ struct Scenario {
   std::uint32_t staleness = 4;  // lazy-vertex applies between coherency events
   engine::IntervalPolicy interval_policy = engine::IntervalPolicy::kAdaptive;
   engine::CommModePolicy comm_policy = engine::CommModePolicy::kAdaptive;
-  /// Intra-machine thread budget (sync + lazy-block sweeps); exercises the
-  /// chunked deterministic merge path when > 1.
-  std::uint32_t threads_per_machine = 1;
-  /// Local-sweep direction (sync + lazy-block chunked sweeps): forced push,
-  /// forced pull over the CSC mirror, or the adaptive density rule. Every
-  /// direction must produce bit-identical results, so the generator draws
-  /// all three. Empty/old dumps default to adaptive (the v1-v5 behaviour).
+  /// Local-sweep direction (sync + lazy-block snapshot sweeps): forced
+  /// push, forced pull over the CSC mirror, or the adaptive density rule.
+  /// Every direction must produce bit-identical results, so the generator
+  /// draws all three.
   engine::SweepDirection sweep = engine::SweepDirection::kAdaptive;
 
   // --- pipeline (plan layer) ---
@@ -91,7 +88,7 @@ struct Scenario {
   /// When non-empty, a failure plan in sim::FailurePlan text form
   /// ("m@k[:r]", comma-joined). The oracle re-runs every engine with the
   /// plan installed and requires the converged state to be bit-identical to
-  /// the failure-free run. Empty means no failures (the v1-v3 behaviour).
+  /// the failure-free run. Empty means no failures.
   std::string kill;
 
   // --- serving layer (batched lanes) ---
@@ -100,8 +97,7 @@ struct Scenario {
   /// source programs, thresholds for k-core. The scenario's own source /
   /// kcore_k is always lane 0; each listed value adds one more lane. The
   /// oracle packs all lanes into one batched engine run and requires every
-  /// lane to match its solo run bit-for-bit. Empty means no batch check
-  /// (the v1-v4 behaviour).
+  /// lane to match its solo run bit-for-bit. Empty means no batch check.
   std::string batch;
 
   bool has_pipeline() const { return !pipeline.empty(); }
@@ -129,10 +125,14 @@ struct Scenario {
   /// One-line human summary ("seed=5 V=37 E=120 P=4 cut=grid prog=sssp ...").
   std::string summary() const;
 
-  /// Stable text form (replayable with lazygraph_fuzz --replay=FILE).
+  /// Stable text form (replayable with lazygraph_fuzz --replay=FILE): a
+  /// "lazygraph-scenario" header line, one "key value" line per field, and
+  /// the edge list last ("edges N" followed by N "src dst weight" lines).
   void to_text(std::ostream& os) const;
   std::string to_text() const;
-  /// Parses to_text output; throws std::invalid_argument on malformed input.
+  /// Parses the text form. Keys may come in any order before "edges"; an
+  /// absent key keeps its default. Throws std::invalid_argument on an
+  /// unknown or repeated key and on any malformed value.
   static Scenario from_text(std::istream& is);
   static Scenario from_text(const std::string& text);
 };

@@ -216,11 +216,6 @@ class Shrinker {
     if (report_.scenario.staleness != defaults.staleness) {
       try_knob([&](Scenario& c) { c.staleness = defaults.staleness; });
     }
-    if (report_.scenario.threads_per_machine != defaults.threads_per_machine) {
-      try_knob([&](Scenario& c) {
-        c.threads_per_machine = defaults.threads_per_machine;
-      });
-    }
     if (report_.scenario.interval_policy != defaults.interval_policy) {
       try_knob([&](Scenario& c) { c.interval_policy = defaults.interval_policy; });
     }

@@ -8,8 +8,8 @@
 // heap allocations (see the allocation probe in tests/test_alloc_probe.cpp).
 //
 // Lifetime contract: the referenced callable must outlive every invocation.
-// All users here are blocking fork/join drivers (parallel_machines,
-// run_chunks), where the caller's lambda lives across the whole call.
+// Its user here is the blocking fork/join call parallel_machines, where
+// the caller's lambda lives across the whole call.
 #pragma once
 
 #include <type_traits>

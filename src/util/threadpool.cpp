@@ -113,86 +113,6 @@ void ThreadPool::parallel_for(std::size_t n,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-namespace {
-// Shared control block for parallel_for_chunks; same lifetime discipline as
-// ForState. Claims whole chunks: workers fetch the next chunk index and run
-// body on its [begin, end) slice.
-struct ChunkState {
-  ChunkState(std::size_t n, std::size_t chunk_size,
-             std::function<void(std::size_t, std::size_t)> body)
-      : n(n),
-        chunk_size(chunk_size),
-        nchunks((n + chunk_size - 1) / chunk_size),
-        body(std::move(body)) {}
-
-  const std::size_t n;
-  const std::size_t chunk_size;
-  const std::size_t nchunks;
-  const std::function<void(std::size_t, std::size_t)> body;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::exception_ptr error;
-
-  void drain() {
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) break;
-      try {
-        const std::size_t begin = c * chunk_size;
-        body(begin, std::min(n, begin + chunk_size));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == nchunks) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    }
-  }
-};
-}  // namespace
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t n, std::size_t chunk_size, std::size_t max_threads,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (chunk_size == 0) chunk_size = 1;
-  const std::size_t nchunks = (n + chunk_size - 1) / chunk_size;
-  if (nchunks == 1 || workers_.empty() || max_threads <= 1) {
-    for (std::size_t b = 0; b < n; b += chunk_size) {
-      body(b, std::min(n, b + chunk_size));
-    }
-    return;
-  }
-
-  // Unlike parallel_for there is no inline-on-reentrancy special case: the
-  // caller participates in the drain and chunk bodies never block, so even
-  // if every enqueued helper is starved behind blocked workers, the caller
-  // alone finishes all chunks — helpers are pure acceleration.
-  auto state = std::make_shared<ChunkState>(n, chunk_size, body);
-  const std::size_t fanout =
-      std::min({nchunks - 1, max_threads - 1, workers_.size()});
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t t = 0; t < fanout; ++t) {
-      tasks_.push([state] { state->drain(); });
-    }
-  }
-  cv_.notify_all();
-  state->drain();  // caller participates
-
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] {
-      return state->done.load(std::memory_order_acquire) >= state->nchunks;
-    });
-  }
-  if (state->error) std::rethrow_exception(state->error);
-}
-
 void serial_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   for (std::size_t i = 0; i < n; ++i) body(i);
 }

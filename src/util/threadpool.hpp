@@ -34,18 +34,6 @@ class ThreadPool {
   /// could otherwise starve with every worker blocked inside one).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Runs body(begin, end) over [0, n) in chunk_size slices, using at most
-  /// max_threads threads (including the caller), blocking until all
-  /// complete. One claim per chunk instead of one task per item, so the
-  /// per-item overhead is a single relaxed fetch_add amortized over
-  /// chunk_size iterations. Safe to call from inside this pool's own workers
-  /// (nested inside parallel_for): the caller claims chunks itself until
-  /// none remain, so it never blocks waiting on starved helpers — enqueued
-  /// helpers only ever accelerate the drain.
-  void parallel_for_chunks(
-      std::size_t n, std::size_t chunk_size, std::size_t max_threads,
-      const std::function<void(std::size_t, std::size_t)>& body);
-
  private:
   void worker_loop();
 

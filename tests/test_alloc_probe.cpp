@@ -4,7 +4,8 @@
 // global allocator with counting versions and samples the counter at every
 // coherency point; once warm (worklists, scratch, and chunk buckets have
 // reached their high-water capacity), each further superstep's delta must
-// be exactly zero.
+// be exactly zero. Also home to the inspector parity check between
+// engine::run and direct engine construction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -131,6 +132,85 @@ TEST(AllocProbe, LazyBlockForcedPullSteadyStateAllocatesNothing) {
       dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
       {.sweep = engine::SweepDirection::kPull}, g.edge_vertex_ratio());
   expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+}
+
+// engine::run with an inspector must behave exactly like constructing the
+// engine directly and attaching the inspector: the same firing supersteps,
+// and the last call sees the final replica state RunResult::data reports.
+// Covers all four engines, split and unsplit where the engine accepts it.
+struct InspectorTrace {
+  std::vector<std::uint64_t> steps;
+  std::vector<algos::PageRankDelta::VData> last;
+};
+
+engine::CoherencyInspector<algos::PageRankDelta> recording(
+    const partition::DistributedGraph& dg, InspectorTrace& t) {
+  return [&dg, &t](std::uint64_t step, const auto& states) {
+    t.steps.push_back(step);
+    t.last = engine::collect_master_data(dg, states);
+  };
+}
+
+InspectorTrace direct_trace(engine::EngineKind kind,
+                            const partition::DistributedGraph& dg,
+                            const algos::PageRankDelta& prog) {
+  InspectorTrace t;
+  auto cluster = testsupport::make_cluster(dg.num_machines());
+  auto run = [&](auto&& eng) {
+    eng.set_coherency_inspector(recording(dg, t));
+    EXPECT_TRUE(eng.run().converged);
+  };
+  switch (kind) {
+    case engine::EngineKind::kSync:
+      run(engine::SyncEngine<algos::PageRankDelta>(dg, prog, cluster));
+      break;
+    case engine::EngineKind::kAsync:
+      run(engine::AsyncEngine<algos::PageRankDelta>(dg, prog, cluster));
+      break;
+    case engine::EngineKind::kLazyBlock:
+      run(engine::LazyBlockAsyncEngine<algos::PageRankDelta>(
+          dg, prog, cluster, {}, dg.user_ev_ratio()));
+      break;
+    case engine::EngineKind::kLazyVertex:
+      run(engine::LazyVertexAsyncEngine<algos::PageRankDelta>(dg, prog,
+                                                              cluster));
+      break;
+  }
+  return t;
+}
+
+TEST(InspectorParity, RunFiresLikeDirectConstructionOnEveryEngine) {
+  const Graph g =
+      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.02);
+  const algos::PageRankDelta prog{.tol = 1e-3};
+  for (const bool split : {false, true}) {
+    const auto dg = testsupport::build_dgraph(
+        g, 4, partition::CutKind::kCoordinated, 7, split);
+    for (const engine::EngineKind kind :
+         {engine::EngineKind::kSync, engine::EngineKind::kAsync,
+          engine::EngineKind::kLazyBlock, engine::EngineKind::kLazyVertex}) {
+      const bool eager = kind == engine::EngineKind::kSync ||
+                         kind == engine::EngineKind::kAsync;
+      if (split && eager) continue;  // eager engines run unsplit only
+      const std::string tag = std::string(engine::to_string(kind)) +
+                              (split ? "/split" : "/unsplit");
+      const InspectorTrace want = direct_trace(kind, dg, prog);
+
+      InspectorTrace got;
+      auto cluster = testsupport::make_cluster(4);
+      const auto r = engine::run({.kind = kind}, dg, prog, cluster,
+                                 recording(dg, got));
+      ASSERT_TRUE(r.converged) << tag;
+      ASSERT_FALSE(got.steps.empty()) << tag;
+      EXPECT_EQ(got.steps, want.steps) << tag;
+      ASSERT_EQ(got.last.size(), r.data.size()) << tag;
+      for (std::size_t v = 0; v < r.data.size(); ++v) {
+        ASSERT_EQ(got.last[v].rank, r.data[v].rank) << tag << " vertex " << v;
+        ASSERT_EQ(got.last[v].pending_delta, r.data[v].pending_delta)
+            << tag << " vertex " << v;
+      }
+    }
+  }
 }
 
 }  // namespace

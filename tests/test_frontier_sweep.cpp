@@ -1,7 +1,8 @@
 // Frontier worklist + deterministic parallel sweep tests: the sparse/dense
 // representation switch, sweep equivalence against reference whole-array
 // scans (the historical implementation), bit-determinism of the chunked
-// sweep across thread budgets, and the scan-work reduction on sparse runs.
+// sweep across chunks and cluster threads, and the scan-work reduction on
+// sparse runs.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -14,7 +15,6 @@ namespace {
 using engine::Frontier;
 using engine::PartState;
 using engine::SweepCounters;
-using engine::SweepExec;
 using engine::SweepMode;
 
 // ---------------------------------------------------------------- Frontier
@@ -376,36 +376,32 @@ TEST(LocalSweep, SnapshotSweepMatchesReferenceSnapshot) {
 
 // ------------------------------------------- chunked-sweep bit determinism
 
-// The chunked sweep must produce bit-identical state for every thread
-// budget: 1 (inline), 2, and 7 (not a divisor of the chunk size, so range
-// splits are ragged), with a live pool underneath.
-TEST(LocalSweep, ChunkedSweepBitIdenticalAcrossThreadBudgets) {
+// A full frontier on a graph several edge budgets wide splits into many
+// chunks; the ordered merge (push) and the CSC fold (pull) must both
+// reproduce the serial reference snapshot sweep bit for bit.
+TEST(LocalSweep, MultiChunkSweepMatchesReferenceSnapshot) {
   SweepRig<algos::PageRankDelta> rig(gen::rmat(10, 8, 0.55, 0.2, 0.2, 17));
   const lvid_t n = rig.part().num_local();
   for (lvid_t v = 0; v < n; ++v) {
     engine::deposit_msg(rig.prog, rig.state(), v, 0.15 + 0.001 * v);
   }
-  sim::Cluster cluster({1, {}, /*threads=*/4});
+  PartState<algos::PageRankDelta> ref = rig.state();
+  const SweepCounters want =
+      reference_snapshot_sweep(rig.prog, rig.part(), ref);
 
-  std::vector<PartState<algos::PageRankDelta>> runs;
-  std::vector<SweepCounters> counters;
-  for (const std::uint32_t tpm : {1u, 2u, 7u}) {
+  for (const engine::SweepDirection dir :
+       {engine::SweepDirection::kPush, engine::SweepDirection::kPull}) {
     PartState<algos::PageRankDelta> s = rig.state();
-    counters.push_back(engine::local_sweep(rig.prog, rig.part(), s,
-                                           SweepMode::kSnapshot,
-                                           SweepExec{&cluster, tpm}));
-    runs.push_back(std::move(s));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(counters[i].work, counters[0].work) << i;
-    EXPECT_EQ(counters[i].applies, counters[0].applies) << i;
+    const SweepCounters got = engine::local_sweep(
+        rig.prog, rig.part(), s, SweepMode::kSnapshot, dir);
+    EXPECT_GT(s.scratch.chunk_bounds.size(), 3u) << "want several chunks";
+    EXPECT_EQ(got.work, want.work);
+    EXPECT_EQ(got.applies, want.applies);
     for (lvid_t v = 0; v < n; ++v) {
-      ASSERT_EQ(runs[i].vdata[v].rank, runs[0].vdata[v].rank)
-          << "tpm run " << i << " vertex " << v;
-      ASSERT_EQ(runs[i].vdata[v].pending_delta, runs[0].vdata[v].pending_delta)
-          << "tpm run " << i << " vertex " << v;
+      ASSERT_EQ(s.vdata[v].rank, ref.vdata[v].rank) << v;
+      ASSERT_EQ(s.vdata[v].pending_delta, ref.vdata[v].pending_delta) << v;
     }
-    expect_states_bit_identical(runs[i], runs[0], "tpm");
+    expect_states_bit_identical(s, ref, "multi-chunk");
   }
 }
 
@@ -423,16 +419,15 @@ struct EngineRig {
                 g, machines, {partition::CutKind::kCoordinated, 7}))) {}
 };
 
-// threads_per_machine is a pure execution knob for the sync engine: results
-// and traffic must be bit-identical for any value.
-TEST(EngineDeterminism, SyncBitIdenticalAcrossThreadsPerMachine) {
+// The cluster's thread count is a pure execution knob for the sync engine:
+// results and traffic must be bit-identical for any value.
+TEST(EngineDeterminism, SyncBitIdenticalAcrossClusterThreads) {
   EngineRig rig(gen::erdos_renyi(250, 1500, 19, {1.0f, 5.0f}), 4);
   std::vector<engine::RunResult<algos::PageRankDelta>> results;
-  for (const std::uint32_t tpm : {1u, 2u, 7u}) {
-    sim::Cluster cluster({4, {}, /*threads=*/4});
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::Cluster cluster({4, {}, threads});
     engine::RunConfig cfg;
     cfg.kind = engine::EngineKind::kSync;
-    cfg.threads_per_machine = tpm;
     results.push_back(
         engine::run(cfg, rig.dg, algos::PageRankDelta{}, cluster));
   }
@@ -444,26 +439,20 @@ TEST(EngineDeterminism, SyncBitIdenticalAcrossThreadsPerMachine) {
     ASSERT_EQ(results[i].data.size(), results[0].data.size());
     for (std::size_t v = 0; v < results[0].data.size(); ++v) {
       ASSERT_EQ(results[i].data[v].rank, results[0].data[v].rank)
-          << "tpm run " << i << " vertex " << v;
+          << "threads run " << i << " vertex " << v;
     }
   }
 }
 
-// For lazy-block, tpm > 1 switches Stage 1 to snapshot sub-sweeps (an
-// algorithm knob), so all parallel budgets must agree with each other —
-// and with the cluster pool disabled (exec falls back inline).
+// Lazy-block runs its machines' sweeps on the cluster pool: every pool
+// width must agree with the serial cluster.
 TEST(EngineDeterminism, LazyBlockBitIdenticalAcrossParallelBudgets) {
   EngineRig rig(gen::erdos_renyi(250, 1500, 23, {1.0f, 5.0f}), 4);
-  struct Case {
-    std::uint32_t tpm;
-    std::uint32_t pool_threads;
-  };
   std::vector<engine::RunResult<algos::SSSP>> results;
-  for (const Case c : {Case{2, 4}, Case{7, 4}, Case{2, 1}}) {
-    sim::Cluster cluster({4, {}, c.pool_threads});
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::Cluster cluster({4, {}, threads});
     engine::RunConfig cfg;
     cfg.kind = engine::EngineKind::kLazyBlock;
-    cfg.threads_per_machine = c.tpm;
     results.push_back(
         engine::run(cfg, rig.dg, algos::SSSP{.source = 0}, cluster));
   }

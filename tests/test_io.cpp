@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -37,6 +39,38 @@ TEST(EdgeListIo, ParsesCommentsAndDefaultWeights) {
 TEST(EdgeListIo, RejectsMalformedLine) {
   std::stringstream ss("0 1\nnot-an-edge\n");
   EXPECT_THROW(io::read_edge_list(ss), std::runtime_error);
+}
+
+// NaN, infinite and float-overflowing weights are rejected like malformed
+// lines, and the error names the offending line by number and text — at
+// any parse thread count.
+TEST(EdgeListIo, RejectsNonFiniteWeightsWithLineNumber) {
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e39"}) {
+    const std::string line = std::string("2 3 ") + bad;
+    const std::string text = "# header\n0 1 2.5\n1 2\n" + line + "\n3 0\n";
+    for (const std::size_t threads : {1u, 4u}) {
+      try {
+        io::read_edge_list_text(text, {.threads = threads});
+        FAIL() << bad << " accepted at threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("line 4:"), std::string::npos) << what;
+        EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+        EXPECT_NE(what.find(line), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(EdgeListIo, MalformedLineErrorNamesLineNumber) {
+  try {
+    io::read_edge_list_text("0 1\n\n# c\nnot-an-edge\n", {.threads = 1});
+    FAIL() << "malformed line accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4: malformed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EdgeListIo, EmptyInputYieldsEmptyGraph) {

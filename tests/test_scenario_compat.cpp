@@ -1,12 +1,12 @@
-// Scenario text back-compat: v1/v2/v3/v4/v5 dumps (which predate the
-// threads_per_machine, pipeline, kill, batch, and sweep keys respectively)
-// must parse with defaults, re-serialize as current-version text, and shrink
-// correctly. Guards the `sweep` key scenario text v6 added for the
-// direction-optimizing push/pull sweeps.
+// Scenario text format: one unversioned keyed format. Every generated
+// scenario round-trips; an absent key takes its default, an unknown or
+// repeated key is rejected, and malformed kill/batch/sweep values throw.
+// Also the generator draws and shrinker steps of those keys.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/failure.hpp"
 #include "testing/oracle.hpp"
@@ -16,86 +16,102 @@
 namespace lazygraph::testing {
 namespace {
 
-/// Emits `s` in the key layout of an older scenario-text version, exactly
-/// as those releases wrote it (same key order; newer keys absent).
-std::string emit_at_version(const Scenario& s, int version) {
-  char buf[64];
-  std::ostringstream os;
-  os << "lazygraph-scenario v" << version << "\n";
-  os << "seed " << s.seed << "\n";
-  os << "vertices " << s.num_vertices << "\n";
-  os << "machines " << s.machines << "\n";
-  os << "cut " << partition::to_string(s.cut) << "\n";
-  os << "partition_seed " << s.partition_seed << "\n";
-  os << "split " << (s.split ? 1 : 0) << "\n";
-  os << "program " << testing::to_string(s.program) << "\n";
-  os << "source " << s.source << "\n";
-  os << "kcore_k " << s.kcore_k << "\n";
-  std::snprintf(buf, sizeof buf, "%.17g", s.tol);
-  os << "tol " << buf << "\n";
-  std::snprintf(buf, sizeof buf, "%.17g", s.alpha);
-  os << "alpha " << buf << "\n";
-  os << "staleness " << s.staleness << "\n";
-  if (version >= 2) {
-    os << "threads_per_machine " << s.threads_per_machine << "\n";
-  }
-  os << "interval " << engine::to_string(s.interval_policy) << "\n";
-  os << "comm " << engine::to_string(s.comm_policy) << "\n";
-  if (version >= 3) {
-    os << "pipeline " << (s.pipeline.empty() ? "-" : s.pipeline) << "\n";
-    os << "plan_engine " << s.plan_engine << "\n";
-  }
-  if (version >= 4) {
-    os << "kill " << (s.kill.empty() ? "-" : s.kill) << "\n";
-  }
-  if (version >= 5) {
-    os << "batch " << (s.batch.empty() ? "-" : s.batch) << "\n";
-  }
-  if (version >= 6) {
-    os << "sweep " << engine::to_string(s.sweep) << "\n";
-  }
-  os << "edges " << s.edges.size() << "\n";
-  for (const Edge& e : s.edges) {
-    std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(e.weight));
-    os << e.src << " " << e.dst << " " << buf << "\n";
-  }
-  return os.str();
+/// `text` with the line starting "`key` " removed (the key must be present).
+std::string drop_key(std::string text, const std::string& key) {
+  const auto pos = text.find("\n" + key + " ");
+  EXPECT_NE(pos, std::string::npos) << key;
+  if (pos == std::string::npos) return text;
+  const auto end = text.find('\n', pos + 1);
+  text.erase(pos, end - pos);
+  return text;
 }
 
-/// `s` with every field a vN dump cannot carry reset to its default.
-Scenario at_version_defaults(Scenario s, int version) {
+// Property: every generated scenario round-trips through the text form, and
+// dropping any one key parses to the scenario with that field defaulted
+// ("vertices" is exempt: the edge list is validated against it).
+TEST(ScenarioCompat, RoundTripsAndAbsentKeysTakeDefaults) {
   const Scenario d;
-  if (version < 2) s.threads_per_machine = d.threads_per_machine;
-  if (version < 3) {
-    s.pipeline = d.pipeline;
-    s.plan_engine = d.plan_engine;
-  }
-  if (version < 4) s.kill = d.kill;
-  if (version < 5) s.batch = d.batch;
-  if (version < 6) s.sweep = d.sweep;
-  return s;
-}
-
-// Property: for a spread of generated scenarios, each historical version's
-// dump parses to the scenario with the missing keys defaulted, and
-// re-serializing that parse through the current writer round-trips exactly.
-TEST(ScenarioCompat, AllVersionsParseDefaultAndRoundTrip) {
+  struct Key {
+    const char* name;
+    void (*reset)(Scenario&, const Scenario&);
+  };
+  const Key keys[] = {
+      {"seed", [](Scenario& s, const Scenario& d) { s.seed = d.seed; }},
+      {"machines",
+       [](Scenario& s, const Scenario& d) { s.machines = d.machines; }},
+      {"cut", [](Scenario& s, const Scenario& d) { s.cut = d.cut; }},
+      {"program",
+       [](Scenario& s, const Scenario& d) { s.program = d.program; }},
+      {"source", [](Scenario& s, const Scenario& d) { s.source = d.source; }},
+      {"partition_seed",
+       [](Scenario& s, const Scenario& d) {
+         s.partition_seed = d.partition_seed;
+       }},
+      {"split", [](Scenario& s, const Scenario& d) { s.split = d.split; }},
+      {"kcore_k",
+       [](Scenario& s, const Scenario& d) { s.kcore_k = d.kcore_k; }},
+      {"tol", [](Scenario& s, const Scenario& d) { s.tol = d.tol; }},
+      {"alpha", [](Scenario& s, const Scenario& d) { s.alpha = d.alpha; }},
+      {"staleness",
+       [](Scenario& s, const Scenario& d) { s.staleness = d.staleness; }},
+      {"interval",
+       [](Scenario& s, const Scenario& d) {
+         s.interval_policy = d.interval_policy;
+       }},
+      {"comm",
+       [](Scenario& s, const Scenario& d) { s.comm_policy = d.comm_policy; }},
+      {"pipeline",
+       [](Scenario& s, const Scenario& d) { s.pipeline = d.pipeline; }},
+      {"plan_engine",
+       [](Scenario& s, const Scenario& d) { s.plan_engine = d.plan_engine; }},
+      {"kill", [](Scenario& s, const Scenario& d) { s.kill = d.kill; }},
+      {"batch", [](Scenario& s, const Scenario& d) { s.batch = d.batch; }},
+      {"sweep", [](Scenario& s, const Scenario& d) { s.sweep = d.sweep; }},
+  };
   for (std::uint64_t i = 0; i < 60; ++i) {
     const Scenario s = make_scenario(20260808, i);
-    for (int version = 1; version <= 6; ++version) {
-      const Scenario parsed = Scenario::from_text(emit_at_version(s, version));
-      EXPECT_EQ(parsed, at_version_defaults(s, version))
-          << "scenario " << i << " v" << version;
-      // Current-writer round trip of the parsed scenario.
-      EXPECT_EQ(Scenario::from_text(parsed.to_text()), parsed)
-          << "scenario " << i << " v" << version << " re-serialize";
+    const std::string text = s.to_text();
+    EXPECT_EQ(Scenario::from_text(text), s) << "scenario " << i;
+    for (const Key& k : keys) {
+      Scenario want = s;
+      k.reset(want, d);
+      EXPECT_EQ(Scenario::from_text(drop_key(text, k.name)), want)
+          << "scenario " << i << " without " << k.name;
     }
   }
 }
 
-TEST(ScenarioCompat, CurrentWriterEmitsV6) {
+TEST(ScenarioCompat, KeysParseInAnyOrderBeforeTheEdgeList) {
+  const Scenario s = make_scenario(7, 3);
+  std::string text = s.to_text();
+  // Move the "sweep" line to right after the header.
+  const auto pos = text.find("\nsweep ");
+  ASSERT_NE(pos, std::string::npos);
+  const auto end = text.find('\n', pos + 1);
+  const std::string line = text.substr(pos + 1, end - pos);
+  text.erase(pos + 1, end - pos);
+  text.insert(text.find('\n') + 1, line);
+  EXPECT_EQ(Scenario::from_text(text), s);
+}
+
+TEST(ScenarioCompat, UnknownAndDuplicateKeysRejected) {
+  const Scenario s = make_scenario(7, 3);
+  const std::string text = s.to_text();
+  const auto after_header = text.find('\n') + 1;
+  for (const char* extra :
+       {"retired_knob 2\n", "bogus 1\n", "staleness 3\n"}) {
+    std::string bad = text;
+    bad.insert(after_header, extra);
+    EXPECT_THROW(Scenario::from_text(bad), std::invalid_argument) << extra;
+  }
+  // The edge list is last: a key after it is not a key.
+  EXPECT_THROW(Scenario::from_text(text + "staleness 3\n"),
+               std::invalid_argument);
+}
+
+TEST(ScenarioCompat, CurrentWriterEmitsUnversionedHeader) {
   const Scenario s = make_scenario(1, 0);
-  EXPECT_EQ(s.to_text().substr(0, 22), "lazygraph-scenario v6\n");
+  EXPECT_EQ(s.to_text().substr(0, 19), "lazygraph-scenario\n");
 }
 
 TEST(ScenarioCompat, KillKeyRoundTripsAndDashMeansNone) {
@@ -127,9 +143,12 @@ TEST(ScenarioCompat, MalformedKillRejected) {
 
 TEST(ScenarioCompat, UnknownHeaderRejected) {
   const Scenario s = make_scenario(7, 3);
-  std::string text = s.to_text();
-  text.replace(0, 21, "lazygraph-scenario v7");
-  EXPECT_THROW(Scenario::from_text(text), std::invalid_argument);
+  for (const char* header : {"lazygraph-scenario v6", "lazygraph-scenario v7",
+                             "scenario"}) {
+    std::string text = s.to_text();
+    text.replace(0, 18, header);
+    EXPECT_THROW(Scenario::from_text(text), std::invalid_argument) << header;
+  }
 }
 
 TEST(ScenarioCompat, BatchKeyRoundTripsAndDashMeansNone) {
@@ -164,7 +183,7 @@ TEST(ScenarioCompat, MalformedBatchRejected) {
   }
 }
 
-// Generator sanity for the v5 draw: batch lanes appear at roughly 1-in-4 on
+// Generator sanity for the batch draw: batch lanes appear at roughly 1-in-4 on
 // eligible scenarios (per-query parameterized program, no pipeline, no
 // kill), never elsewhere, and every drawn lane is in range.
 TEST(ScenarioCompat, GeneratorDrawsValidBatchLanes) {
@@ -244,7 +263,7 @@ TEST(ScenarioCompat, SweepKeyRoundTripsAndMalformedRejected) {
   }
 }
 
-// Generator sanity for the v6 draw: all three directions appear, each at
+// Generator sanity for the sweep draw: all three directions appear, each at
 // roughly 1-in-3.
 TEST(ScenarioCompat, GeneratorDrawsAllSweepDirections) {
   int counts[3] = {0, 0, 0};
@@ -276,7 +295,7 @@ TEST(ScenarioCompat, ShrinkerResetsOrKeepsSweep) {
   EXPECT_EQ(Scenario::from_text(kept.scenario.to_text()), kept.scenario);
 }
 
-// Generator sanity for the v4 draw: failure plans appear at roughly 1-in-4
+// Generator sanity for the kill draw: failure plans appear at roughly 1-in-4
 // on non-pipeline scenarios, never alongside a pipeline, and every drawn
 // plan is valid canonical FailurePlan text.
 TEST(ScenarioCompat, GeneratorDrawsValidKillPlans) {

@@ -34,18 +34,18 @@ const partition::DistributedGraph& test_dg() {
   return dg;
 }
 
-/// Runs the batch, then every lane's query solo through the identical
-/// engine path, and requires each lane to uphold the contract: state
-/// bit-identity (or `slack`-bounded for fp families) and, where the engine
-/// guarantees the schedule, equal live-coherency-point counts.
+/// Runs the batch on a cluster with `threads` workers, then every lane's
+/// query solo on a serial cluster through the identical engine path, and
+/// requires each lane to uphold the contract: state bit-identity (or
+/// `slack`-bounded for fp families) and, where the engine guarantees the
+/// schedule, equal live-coherency-point counts.
 template <class P>
 void ExpectBatchMatchesSolo(const partition::DistributedGraph& dg,
                             const std::vector<P>& progs, EngineKind kind,
-                            std::uint32_t tpm, double slack = 0.0) {
-  serve::BatchRunOptions bo;
+                            std::size_t threads, double slack = 0.0) {
+  engine::RunConfig bo;
   bo.kind = kind;
-  bo.threads_per_machine = tpm;
-  sim::Cluster cluster({dg.num_machines(), {}, 1});
+  sim::Cluster cluster({dg.num_machines(), {}, threads});
   const auto batched = serve::run_batched(dg, progs, bo, cluster);
   ASSERT_TRUE(batched.converged) << to_string(kind);
   ASSERT_EQ(batched.lanes.size(), progs.size());
@@ -55,7 +55,7 @@ void ExpectBatchMatchesSolo(const partition::DistributedGraph& dg,
     const auto solo = serve::run_solo(dg, progs[i], bo, solo_cluster);
     ASSERT_TRUE(solo.converged);
     const auto f = serve::verify_lane(batched.lanes[i], solo, slack, points);
-    EXPECT_FALSE(f.has_value()) << to_string(kind) << " tpm=" << tpm
+    EXPECT_FALSE(f.has_value()) << to_string(kind) << " threads=" << threads
                                 << " lane " << i << ": " << f.value_or("");
   }
 }
@@ -68,8 +68,8 @@ TEST(BatchedExecutor, SsspLanesMatchSoloOnEveryEngineAndThreadCount) {
     progs.push_back({.source = s});
   }
   for (const EngineKind kind : kAllKinds) {
-    for (const std::uint32_t tpm : {1u, 7u}) {
-      ExpectBatchMatchesSolo(test_dg(), progs, kind, tpm);
+    for (const std::size_t threads : {1u, 4u}) {
+      ExpectBatchMatchesSolo(test_dg(), progs, kind, threads);
     }
   }
 }
@@ -80,8 +80,8 @@ TEST(BatchedExecutor, BfsLanesMatchSoloOnEveryEngineAndThreadCount) {
     progs.push_back({.source = s});
   }
   for (const EngineKind kind : kAllKinds) {
-    for (const std::uint32_t tpm : {1u, 7u}) {
-      ExpectBatchMatchesSolo(test_dg(), progs, kind, tpm);
+    for (const std::size_t threads : {1u, 4u}) {
+      ExpectBatchMatchesSolo(test_dg(), progs, kind, threads);
     }
   }
 }
@@ -92,8 +92,8 @@ TEST(BatchedExecutor, WidestLanesMatchSoloOnEveryEngineAndThreadCount) {
     progs.push_back({.source = s});
   }
   for (const EngineKind kind : kAllKinds) {
-    for (const std::uint32_t tpm : {1u, 7u}) {
-      ExpectBatchMatchesSolo(test_dg(), progs, kind, tpm);
+    for (const std::size_t threads : {1u, 4u}) {
+      ExpectBatchMatchesSolo(test_dg(), progs, kind, threads);
     }
   }
 }
@@ -130,7 +130,7 @@ TEST(BatchedExecutor, DiffusionSeedLanesBitExactUnderSyncBoundedUnderLazy) {
   // Sync lockstep: the lane trajectory IS the solo trajectory, so even the
   // fp family is bit-exact.
   ExpectBatchMatchesSolo(test_dg(), progs, EngineKind::kSync, 1, 0.0);
-  ExpectBatchMatchesSolo(test_dg(), progs, EngineKind::kSync, 7, 0.0);
+  ExpectBatchMatchesSolo(test_dg(), progs, EngineKind::kSync, 4, 0.0);
   // Lazy engines reassociate apply-splitting; same headroom rule the fuzz
   // oracle grants the plain program.
   for (const EngineKind kind :
@@ -140,7 +140,7 @@ TEST(BatchedExecutor, DiffusionSeedLanesBitExactUnderSyncBoundedUnderLazy) {
 }
 
 TEST(BatchedExecutor, RejectsEmptyAndOversizedBatches) {
-  serve::BatchRunOptions bo;
+  engine::RunConfig bo;
   sim::Cluster cluster({kMachines, {}, 1});
   const std::vector<algos::BFS> none;
   EXPECT_THROW(serve::run_batched(test_dg(), none, bo, cluster),
@@ -161,7 +161,7 @@ TEST(BatchedExecutor, ConvergedLanesDropOutOfCoherencyAccounting) {
   const Graph path = gen::path(n, {1.0f, 1.0f});
   const partition::DistributedGraph dg = build_dgraph(path, 3);
   std::vector<algos::BFS> progs{{.source = 0}, {.source = n - 1}};
-  serve::BatchRunOptions bo;
+  engine::RunConfig bo;
   bo.kind = EngineKind::kSync;
   sim::Cluster cluster({3, {}, 1});
   const auto batched = serve::run_batched(dg, progs, bo, cluster);

@@ -1,10 +1,10 @@
 // Direction-optimizing sweep tests: the pull direction over the CSC in-edge
 // mirror and the adaptive push/pull switch must be invisible in results —
 // bit-identical state, identical supersteps, identical simulated time and
-// traffic — for every engine, thread budget, and partition cut. Plus the
-// structural contracts behind that guarantee: the CSC mirror's per-target
-// fold order equals the push merge order, and the edge-balanced chunk
-// decomposition is purely degree-derived.
+// traffic — for every engine, cluster thread count, and partition cut. Plus
+// the structural contracts behind that guarantee: the CSC mirror's
+// per-target fold order equals the push merge order, and the edge-balanced
+// chunk decomposition is purely degree-derived.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,7 +19,6 @@ namespace {
 using engine::PartState;
 using engine::SweepCounters;
 using engine::SweepDirection;
-using engine::SweepExec;
 using engine::SweepMode;
 
 partition::DistributedGraph make_dg(const Graph& g, machine_t machines,
@@ -41,22 +40,21 @@ partition::DistributedGraph make_dg(const Graph& g, machine_t machines,
 template <class P, class Eq>
 void expect_direction_invariant(const partition::DistributedGraph& dg,
                                 machine_t machines, const P& prog,
-                                engine::EngineKind kind, std::uint32_t tpm,
+                                engine::EngineKind kind, std::size_t threads,
                                 Eq&& eq, const std::string& tag) {
   std::vector<engine::RunResult<P>> rs;
   for (const SweepDirection dir :
        {SweepDirection::kPush, SweepDirection::kPull,
         SweepDirection::kAdaptive}) {
-    sim::Cluster cluster({machines, {}, 4});
+    sim::Cluster cluster({machines, {}, threads});
     engine::RunConfig cfg;
     cfg.kind = kind;
-    cfg.threads_per_machine = tpm;
     cfg.sweep = dir;
     rs.push_back(engine::run(cfg, dg, prog, cluster));
     ASSERT_TRUE(rs.back().converged) << tag;
   }
   // Forced push never pulls; forced pull really exercises the CSC path on
-  // the chunk-parallel engines (the serial Gauss-Seidel engines are push by
+  // the engines with snapshot sweeps (the Gauss-Seidel engines are push by
   // definition, so the knob is inert there).
   EXPECT_EQ(rs[0].metrics.sweep_pull_rounds, 0u) << tag;
   if (kind == engine::EngineKind::kSync ||
@@ -88,30 +86,30 @@ void run_direction_matrix(engine::EngineKind kind, bool split) {
   const auto dgd = make_dg(gd, machines, split);
   const auto dgu = make_dg(gu, machines, split);
   const std::string base = std::string(engine::to_string(kind)) +
-                           (split ? "/split" : "/unsplit") + "/tpm=";
-  for (const std::uint32_t tpm : {1u, 2u, 7u}) {
-    const std::string tag = base + std::to_string(tpm);
+                           (split ? "/split" : "/unsplit") + "/threads=";
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string tag = base + std::to_string(threads);
     expect_direction_invariant(
-        dgd, machines, algos::SSSP{.source = 0}, kind, tpm,
+        dgd, machines, algos::SSSP{.source = 0}, kind, threads,
         [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
           return a.dist == b.dist;
         },
         tag + "/sssp");
     expect_direction_invariant(
-        dgd, machines, algos::PageRankDelta{}, kind, tpm,
+        dgd, machines, algos::PageRankDelta{}, kind, threads,
         [](const algos::PageRankDelta::VData& a,
            const algos::PageRankDelta::VData& b) {
           return a.rank == b.rank && a.pending_delta == b.pending_delta;
         },
         tag + "/pagerank");
     expect_direction_invariant(
-        dgu, machines, algos::KCore{.k = 3}, kind, tpm,
+        dgu, machines, algos::KCore{.k = 3}, kind, threads,
         [](const algos::KCore::VData& a, const algos::KCore::VData& b) {
           return a.core == b.core && a.deleted == b.deleted;
         },
         tag + "/kcore");
     expect_direction_invariant(
-        dgu, machines, algos::ConnectedComponents{}, kind, tpm,
+        dgu, machines, algos::ConnectedComponents{}, kind, threads,
         [](const algos::ConnectedComponents::VData& a,
            const algos::ConnectedComponents::VData& b) {
           return a.label == b.label;
@@ -241,8 +239,8 @@ TEST(EdgeBalancedChunks, BoundsAreDegreeDerivedAndCoverEveryItem) {
       EXPECT_GE(weights[c], engine::kSweepEdgeBudget) << "chunk " << c;
     }
   }
-  // The decomposition takes no thread count at all — invariance across
-  // thread budgets is structural. Repeated evaluation is bit-stable.
+  // The decomposition depends on the weights alone; repeated evaluation is
+  // bit-stable.
   std::vector<std::size_t> bounds2;
   engine::build_weighted_chunks(n, weight, bounds2, nullptr);
   EXPECT_EQ(bounds2, bounds);
@@ -295,14 +293,12 @@ TEST(SweepDirectionLocal, ForcedPullBitIdenticalWithCounterParity) {
   }
   PartState<algos::SSSP> pull_state = rig.state();
 
-  sim::Cluster cluster({1, {}, 4});
-  const SweepExec exec{&cluster, 4};
   const SweepCounters cpush =
       engine::local_sweep(rig.prog, rig.part(), rig.state(),
-                          SweepMode::kSnapshot, exec, SweepDirection::kPush);
+                          SweepMode::kSnapshot, SweepDirection::kPush);
   const SweepCounters cpull =
       engine::local_sweep(rig.prog, rig.part(), pull_state,
-                          SweepMode::kSnapshot, exec, SweepDirection::kPull);
+                          SweepMode::kSnapshot, SweepDirection::kPull);
 
   // The deterministic counters are direction-invariant...
   EXPECT_EQ(cpull.work, cpush.work);
@@ -333,8 +329,6 @@ TEST(SweepDirectionLocal, ForcedPullBitIdenticalWithCounterParity) {
 }
 
 TEST(SweepDirectionLocal, AdaptivePicksPullWhenDensePushWhenSparse) {
-  sim::Cluster cluster({1, {}, 4});
-  const SweepExec exec{&cluster, 4};
   {
     LocalRig<algos::SSSP> rig(gen::erdos_renyi(400, 2400, 9, {1.0f, 4.0f}));
     const lvid_t n = rig.part().num_local();
@@ -343,7 +337,7 @@ TEST(SweepDirectionLocal, AdaptivePicksPullWhenDensePushWhenSparse) {
     }
     // Full frontier: 2 * frontier_out_edges = 2E >= E, so adaptive pulls.
     const SweepCounters c = engine::local_sweep(
-        rig.prog, rig.part(), rig.state(), SweepMode::kSnapshot, exec,
+        rig.prog, rig.part(), rig.state(), SweepMode::kSnapshot,
         SweepDirection::kAdaptive);
     EXPECT_EQ(c.pull_rounds, 1u);
     EXPECT_EQ(c.staged, 0u);
@@ -353,7 +347,7 @@ TEST(SweepDirectionLocal, AdaptivePicksPullWhenDensePushWhenSparse) {
     // One seed vertex: its out-degree is a sliver of E, so adaptive pushes.
     engine::deposit_msg(rig.prog, rig.state(), 0, 0.0);
     const SweepCounters c = engine::local_sweep(
-        rig.prog, rig.part(), rig.state(), SweepMode::kSnapshot, exec,
+        rig.prog, rig.part(), rig.state(), SweepMode::kSnapshot,
         SweepDirection::kAdaptive);
     EXPECT_EQ(c.pull_rounds, 0u);
   }

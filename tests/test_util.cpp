@@ -3,6 +3,8 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/common.hpp"
@@ -147,70 +149,6 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   EXPECT_EQ(total.load(), 100);
 }
 
-TEST(ThreadPoolChunks, CoversEveryIndexExactlyOnceInChunkSlices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_chunks(1000, 64, 4, [&](std::size_t begin,
-                                            std::size_t end) {
-    EXPECT_EQ(begin % 64, 0u);          // chunk-aligned slices
-    EXPECT_LE(end, std::size_t{1000});
-    EXPECT_LE(end - begin, std::size_t{64});
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolChunks, EmptyAndSingleChunkRunInline) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for_chunks(0, 16, 2, [&](std::size_t, std::size_t) {
-    ran = true;
-  });
-  EXPECT_FALSE(ran);
-  int calls = 0;
-  pool.parallel_for_chunks(10, 16, 2, [&](std::size_t begin,
-                                          std::size_t end) {
-    ++calls;
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 10u);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolChunks, MaxThreadsOneRunsInline) {
-  ThreadPool pool(4);
-  const auto caller = std::this_thread::get_id();
-  pool.parallel_for_chunks(512, 32, 1, [&](std::size_t, std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-}
-
-TEST(ThreadPoolChunks, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for_chunks(256, 16, 2,
-                               [&](std::size_t begin, std::size_t) {
-                                 if (begin == 64) throw std::runtime_error("x");
-                               }),
-      std::runtime_error);
-}
-
-// The engines call parallel_for_chunks from inside parallel_machines (a
-// parallel_for body on the same pool). The caller-drains design must keep
-// that nesting deadlock-free: chunk bodies never block, and the enqueueing
-// worker participates in draining its own chunks.
-TEST(ThreadPoolChunks, NestedInsideParallelForCompletes) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  pool.parallel_for(6, [&](std::size_t) {
-    pool.parallel_for_chunks(128, 16, 3, [&](std::size_t begin,
-                                             std::size_t end) {
-      total += static_cast<int>(end - begin);
-    });
-  });
-  EXPECT_EQ(total.load(), 6 * 128);
-}
-
 TEST(SerialFor, RunsInOrder) {
   std::vector<std::size_t> order;
   serial_for(5, [&](std::size_t i) { order.push_back(i); });
@@ -290,7 +228,7 @@ TEST(Table, NumFormatting) {
 
 TEST(Options, ParsesKeyValueAndFlags) {
   const char* argv[] = {"prog", "--alpha=3", "--flag", "pos1", "--beta=x"};
-  Options o(5, argv);
+  Options o(5, argv, {"alpha", "beta", "flag"});
   EXPECT_TRUE(o.has("alpha"));
   EXPECT_EQ(o.get_int("alpha", 0), 3);
   EXPECT_TRUE(o.get_bool("flag", false));
@@ -301,11 +239,66 @@ TEST(Options, ParsesKeyValueAndFlags) {
 
 TEST(Options, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
-  Options o(1, argv);
+  Options o(1, argv, {"missing"});
   EXPECT_FALSE(o.has("missing"));
   EXPECT_EQ(o.get_int("missing", 7), 7);
   EXPECT_DOUBLE_EQ(o.get_double("missing", 1.5), 1.5);
   EXPECT_FALSE(o.get_bool("missing", false));
+}
+
+// An undeclared flag is an error that names the flag, with or without a
+// value — a retired flag must never be silently ignored.
+TEST(Options, UnknownFlagThrowsNamingIt) {
+  for (const char* arg : {"--retired-knob=4", "--retired-knob"}) {
+    const char* argv[] = {"prog", "--machines=2", arg};
+    try {
+      Options o(3, argv, {"machines"});
+      FAIL() << arg << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--retired-knob"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Numeric getters accept only values that parse completely.
+TEST(Options, NumericValuesMustFullyParse) {
+  const char* argv[] = {"prog", "--machines=abc", "--scale=0.5x",
+                        "--top=12",     "--tol=1e-3",   "--k=7 "};
+  Options o(6, argv, {"machines", "scale", "top", "tol", "k"});
+  EXPECT_EQ(o.get_int("top", 0), 12);
+  EXPECT_DOUBLE_EQ(o.get_double("tol", 0.0), 1e-3);
+  EXPECT_THROW(o.get_int("machines", 16), std::invalid_argument);
+  EXPECT_THROW(o.get_double("scale", 0.2), std::invalid_argument);
+  EXPECT_THROW(o.get_int("k", 5), std::invalid_argument);
+  try {
+    o.get_int("machines", 16);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--machines"), std::string::npos);
+  }
+}
+
+// A valueless flag stores an empty value: string and numeric getters fall
+// back to their default (a bare --perf-report names no file, a bare
+// --trace-summary takes its default count), while get_bool reads it as set.
+TEST(Options, BareFlagTakesDefaultValue) {
+  const char* argv[] = {"prog", "--perf-report", "--trace-summary",
+                        "--verify"};
+  Options o(4, argv, {"perf-report", "trace-summary", "verify"});
+  EXPECT_TRUE(o.has("perf-report"));
+  EXPECT_EQ(o.get("perf-report", ""), "");
+  EXPECT_EQ(o.get_int("trace-summary", 10), 10);
+  EXPECT_DOUBLE_EQ(o.get_double("trace-summary", 2.5), 2.5);
+  EXPECT_TRUE(o.get_bool("verify", false));
+}
+
+TEST(Options, BoolValuesAreStrict) {
+  const char* argv[] = {"prog", "--a=no", "--b=1", "--c=maybe"};
+  Options o(4, argv, {"a", "b", "c"});
+  EXPECT_FALSE(o.get_bool("a", true));
+  EXPECT_TRUE(o.get_bool("b", false));
+  EXPECT_THROW(o.get_bool("c", false), std::invalid_argument);
 }
 
 }  // namespace

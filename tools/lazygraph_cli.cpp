@@ -12,14 +12,13 @@
 //   --engine=sync|async|lazy-block|lazy-vertex           (default lazy-block)
 //   --dataset=<table1 analogue name> | --graph=<edge-list path>
 //   --machines=N --scale=S --cut=random|grid|coordinated|hybrid
-//   --split=true|false  --source=V  --k=K  --tol=T  --top=N
-//   --threads-per-machine=N  intra-machine sweep threads (default 1)
-//   --sweep=push|pull|adaptive  local-sweep direction (default adaptive):
+//   --split=true|false  --source=V  --k=K  --tol=T  --top=N  --seed=N
+//   --alpha=A --seed_bias=B   (diffusion)
+//   --sweep=push|pull|adaptive  snapshot-sweep direction (default adaptive):
 //                        push stages (target,msg) pairs per chunk; pull scans
-//                        the CSC in-edge mirror target-parallel with no
-//                        staging; adaptive picks per machine per sweep from
-//                        frontier density. Results are bit-identical across
-//                        directions.
+//                        the CSC in-edge mirror with no staging; adaptive
+//                        picks per machine per sweep from frontier density.
+//                        Results are bit-identical across directions.
 //   --ingest-threads=N   setup-path threads for load/partition/build
 //                        (default 1; 0 = hardware concurrency; the output is
 //                        bit-identical at any value)
@@ -51,6 +50,10 @@
 //       default engine for stages without an @engine suffix.
 //   --sequential=true    lower with every reuse mechanism disabled (the
 //                        bit-identical reference lowering)
+//
+// Flags are strict: an undeclared flag, or a numeric flag whose value does
+// not parse completely, is an error (exit 1) naming the flag. A bare flag
+// (--trace-summary, --perf-report) takes its default value.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -78,7 +81,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"algo", "alpha", "cut", "dataset", "engine",
+      "graph", "ingest-threads", "k", "kill", "machines", "perf-report",
+      "pipeline", "scale", "seed", "seed_bias", "sequential", "source", "split",
+      "sweep", "tol", "top", "trace", "trace-summary"});
   const std::string algo = opts.get("algo", "pagerank");
   const auto kind =
       engine::engine_kind_from_string(opts.get("engine", "lazy-block"));
@@ -124,8 +130,6 @@ int main(int argc, char** argv) try {
     }
     plan::LowerOptions lopts;
     lopts.default_engine = kind;
-    lopts.threads_per_machine =
-        static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
     lopts.sweep =
         engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
     if (opts.get_bool("split", false)) lopts.split = {.t_extra = 0.001};
@@ -228,8 +232,6 @@ int main(int argc, char** argv) try {
   engine::RunConfig cfg;
   cfg.kind = kind;  // graph_ev_ratio auto-derives from the dg's user view
   if (want_trace) cfg.tracer = &tracer;
-  cfg.threads_per_machine =
-      static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
   cfg.sweep = engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
 
   const auto source = static_cast<vid_t>(opts.get_int("source", 0));
@@ -324,8 +326,8 @@ int main(int argc, char** argv) try {
               << path << "\n";
   }
   if (opts.has("trace-summary")) {
-    auto k = static_cast<std::size_t>(opts.get_int("trace-summary", 10));
-    if (k == 0) k = 10;  // bare --trace-summary parses as 0
+    const auto k =
+        static_cast<std::size_t>(opts.get_int("trace-summary", 10));
     if (!tracer.setup_spans().empty()) {
       std::cout << "\nsetup stages (wall-clock, " << ingest_threads
                 << " thread(s); not simulated time):\n";

@@ -9,7 +9,9 @@
 // greedily shrunk (disable with --shrink=false) and both the original and
 // the minimized case are dumped in replayable text form; with
 // --dump-dir=DIR the minimized case is also written to a file. Exit status
-// is the number of failing scenarios (capped at --max-failures, default 3).
+// is 0 when every scenario passes, 1 on any failure (the run stops after
+// --max-failures, default 3), and 2 on a bad flag or an unreadable replay
+// file.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -49,8 +51,9 @@ int replay(const std::string& file, const OracleOptions& oracle_opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const lazygraph::Options opt(argc, argv);
+int main(int argc, char** argv) try {
+  const lazygraph::Options opt(argc, argv, {"determinism", "dump-dir", "iters",
+      "max-failures", "only", "replay", "seed", "shrink", "verbose"});
   OracleOptions oracle_opts;
   oracle_opts.check_determinism = opt.get_bool("determinism", true);
 
@@ -111,4 +114,7 @@ int main(int argc, char** argv) {
 
   std::cout << (last - first) << " scenarios, " << failures << " failures\n";
   return failures == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -13,7 +13,7 @@
 //   --scale=S --machines=N --cut=random|grid|coordinated|oblivious|hybrid
 //   --partition-seed=N --split=true|false --ingest-threads=N
 //   --engine=sync|async|lazy-block|lazy-vertex    (default lazy-block)
-//   --threads-per-machine=N --cluster-threads=N --staleness=N
+//   --cluster-threads=N --staleness=N
 //   Traffic (deterministic; same seed => same stream):
 //     --queries=N --rate=QPS --zipf=SKEW --tenants=N --seed=N
 //     --families=sssp,bfs,widest,diffusion[,kcore]  enabled families
@@ -25,6 +25,9 @@
 //   --cache-budget-mb=N  byte budget for the artifact cache (0 = unbounded)
 //   --trace=FILE         write the serving trace (per-query spans + engine
 //                        spans of every batch) as JSONL to FILE
+//
+// Flags are strict: an undeclared flag, or a numeric flag whose value does
+// not parse completely, is an error (exit 1) naming the flag.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -69,7 +72,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const Options opts(argc, argv);
+  const Options opts(argc, argv, {"alpha", "cache-budget-mb", "cluster-threads",
+      "cut", "dataset", "engine", "families", "graph", "ingest-threads",
+      "kcore-max-k", "machines", "max-lanes", "max-wait", "partition-seed",
+      "queries", "rate", "scale", "seed", "split", "staleness", "tenants",
+      "tol", "trace", "verify", "zipf"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 8));
   const auto cut = parse_cut(opts.get("cut", "coordinated"));
@@ -142,8 +149,6 @@ int main(int argc, char** argv) try {
 
   serve::ServeOptions sopts;
   sopts.run.kind = kind;
-  sopts.run.threads_per_machine =
-      static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
   sopts.run.staleness =
       static_cast<std::uint32_t>(opts.get_int("staleness", 4));
   if (want_trace) sopts.run.tracer = &tracer;
