@@ -12,7 +12,7 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"machines", "scale"});
   bench::ExperimentConfig cfg;
   cfg.machines = static_cast<machine_t>(opts.get_int("machines", 48));
@@ -88,4 +88,7 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -14,7 +14,7 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"scale"});
   bench::ExperimentConfig cfg;
   cfg.dataset_scale = opts.get_double("scale", 1.0);
@@ -71,4 +71,7 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

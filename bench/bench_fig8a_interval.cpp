@@ -10,7 +10,7 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"algo", "machines", "scale"});
   bench::ExperimentConfig cfg;
   cfg.machines = static_cast<machine_t>(opts.get_int("machines", 48));
@@ -44,4 +44,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(simple strategy = always-lazy with local stages run to "
                "convergence, as in the paper)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"machines", "scale"});
   const sim::NetworkModel net{};
 
@@ -66,4 +66,7 @@ int main(int argc, char** argv) {
                "exchange; small volumes favour all-to-all, large favour "
                "mirrors-to-master)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -11,7 +11,7 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"machines", "scale"});
   bench::ExperimentConfig cfg;
   cfg.machines = static_cast<machine_t>(opts.get_int("machines", 48));
@@ -49,4 +49,7 @@ int main(int argc, char** argv) {
               << Table::num(speedups.max(), 2) << "x)\n\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -13,7 +13,7 @@
 
 using namespace lazygraph;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"k", "machines", "scale"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 16));
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
   std::cout << (identical ? "composed lowering bit-identical to sequential\n"
                           : "MISMATCH vs sequential lowering!\n");
   return mismatches == 0 && identical ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

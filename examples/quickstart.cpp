@@ -7,7 +7,7 @@
 
 using namespace lazygraph;
 
-int main() {
+int main() try {
   // 1. A user-view graph: a small scale-free network.
   const Graph g = gen::rmat(/*scale=*/10, /*edges_per_vertex=*/8, 0.57, 0.19,
                             0.19, /*seed=*/42);
@@ -52,4 +52,7 @@ int main() {
     std::cout << "\n\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

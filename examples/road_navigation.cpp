@@ -14,7 +14,7 @@
 
 using namespace lazygraph;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"machines", "scale", "source"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 16));
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
   std::cout << (mismatches == 0 ? "distances verified against Dijkstra\n"
                                 : "MISMATCH vs Dijkstra!\n");
   return mismatches == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

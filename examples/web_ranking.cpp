@@ -14,7 +14,7 @@
 
 using namespace lazygraph;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv, {"machines", "scale", "seed-page", "tol",
       "top"});
   const auto machines =
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
                     ? "\ncomposed lowering bit-identical to sequential\n"
                     : "\nMISMATCH vs sequential lowering!\n");
   return identical ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

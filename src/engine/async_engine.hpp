@@ -17,6 +17,8 @@
 // (machine, master lvid) cursor join via a min-heap, so the merged
 // processing order — and therefore every result bit — matches the
 // historical whole-array scan.
+//
+// This is the coherency policy only; engine::run's driver owns the run loop.
 #pragma once
 
 #include <algorithm>
@@ -25,215 +27,172 @@
 #include <vector>
 
 #include "engine/local_sweep.hpp"
+#include "engine/policy.hpp"
 #include "engine/state.hpp"
-#include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct AsyncOptions {
-  std::uint64_t max_rounds = 1'000'000;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-};
-
 template <VertexProgram P>
 class AsyncEngine {
  public:
-  AsyncEngine(const partition::DistributedGraph& dg, P prog,
-              sim::Cluster& cluster, AsyncOptions opts = {})
-      : dg_(dg), prog_(std::move(prog)), cluster_(cluster), opts_(opts) {
-    require(cluster.num_machines() == dg.num_machines(),
-            "AsyncEngine: cluster/graph machine count mismatch");
+  AsyncEngine(const RunConfig&, const partition::DistributedGraph& dg,
+              const P& prog, sim::Cluster& cluster,
+              std::vector<PartState<P>>& states)
+      : dg_(dg),
+        prog_(prog),
+        cluster_(cluster),
+        states_(states),
+        work_(dg.num_machines()),
+        pending_(dg.num_machines()),
+        heaps_(dg.num_machines()) {
     require(dg.parallel_edge_copies() == 0,
             "AsyncEngine: eager engines run on unsplit graphs");
   }
 
-  RunResult<P> run() {
-    const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
-    cluster_.metrics().sweep_scanned +=
-        init_eager_messages(prog_, dg_, states_, opts_.init);
-    recovery::Recoverer<P> recoverer(cluster_, dg_);
+  /// Places the init messages; returns the slots scanned doing so.
+  std::uint64_t init(const InitInjection* inj) {
+    return init_eager_messages(prog_, dg_, states_, inj);
+  }
 
-    RunResult<P> result;
-    std::vector<std::uint64_t> work(p);
-    // Per machine: masters active at round start (sorted ascending) and a
-    // min-heap of masters activated mid-round ahead of the cursor.
-    std::vector<std::vector<lvid_t>> pending(p), heaps(p);
+  /// One Gauss-Seidel round. Coherent at every end: eager coherency pushes
+  /// each new vertex value to all mirrors within the update itself.
+  StepReport step(OpenSuperstep open) {
+    open();
+    // Fine-grained traffic truly is per-message (no batch to compress), so
+    // each send is charged as a one-record wire frame alongside the
+    // uncompressed-fallback raw size.
+    std::uint64_t msgs = 0, bytes = 0, wire = 0, applies = 0;
+    std::fill(work_.begin(), work_.end(), 0);
 
-    for (std::uint64_t round = 0; round < opts_.max_rounds; ++round) {
-      ++cluster_.metrics().supersteps;
-      ++result.supersteps;
-      bool any = false;
-      // Fine-grained traffic truly is per-message (no batch to compress), so
-      // each send is charged as a one-record wire frame alongside the
-      // uncompressed-fallback raw size.
-      std::uint64_t msgs = 0, bytes = 0, wire = 0, applies = 0;
-      std::fill(work.begin(), work.end(), 0);
+    // Round-start worklists: every flagged replica routes its master's
+    // coordinates. Behind-the-cursor activations of the *previous* round
+    // left their flags up, so they surface here.
+    route_flagged_to_masters<false>(dg_, states_, cluster_, pending_,
+                                    /*sort_on_pool=*/false);
 
-      // Round-start worklists: every flagged replica routes its master's
-      // coordinates. Behind-the-cursor activations of the *previous* round
-      // left their flags up, so they surface here.
-      for (auto& l : pending) l.clear();
-      for (machine_t r = 0; r < p; ++r) {
-        const partition::Part& rp = dg_.part(r);
-        PartState<P>& rs = states_[r];
-        cluster_.metrics().sweep_scanned +=
-            rs.frontier.for_each_flagged(rs.has_msg, [&](lvid_t u) {
-              pending[rp.master[u]].push_back(rp.master_lvid[u]);
-            });
-        rs.frontier.clear();
-      }
-      for (auto& l : pending) {
-        std::sort(l.begin(), l.end());
-        l.erase(std::unique(l.begin(), l.end()), l.end());
-      }
-
-      for (machine_t m = 0; m < p; ++m) {
-        const partition::Part& part = dg_.part(m);
-        PartState<P>& s = states_[m];
-        auto& pend = pending[m];
-        auto& heap = heaps[m];
-        std::size_t next = 0;
-        bool have_last = false;
-        lvid_t last = 0;
-        // Merge the static round-start list with the in-round heap; both
-        // produce ascending lvids, so the merged cursor is monotone and
-        // duplicate entries (several mirrors of one vertex activating) pop
-        // adjacently — dedup by comparing with the previous pop.
-        while (next < pend.size() || !heap.empty()) {
-          lvid_t v;
-          if (next < pend.size() &&
-              (heap.empty() || pend[next] <= heap.front())) {
-            v = pend[next++];
-          } else {
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            v = heap.back();
-            heap.pop_back();
-          }
-          if (have_last && v == last) continue;  // duplicate entry
-          last = v;
-          have_last = true;
-
-          // Eager gather: is the vertex active anywhere? (Stale entries —
-          // flags consumed since enqueueing — drop out here.)
-          bool have = s.has_msg[v];
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            have = have || states_[r].has_msg[rl];
-          }
-          if (!have) continue;
-          any = true;
-          ++applies;
-
-          // PowerGraph recomputes the accumulator over the vertex's full
-          // in-neighbourhood: every replica walks its local in-edges and
-          // ships one accumulator, whether or not it saw local messages.
-          typename P::Msg acc{};
-          bool first = true;
-          if (s.has_msg[v]) {
-            acc = s.msg[v];
-            s.has_msg[v] = 0;
-            first = false;
-          }
-          work[m] += part.local_in_degree[v] + 1;
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            PartState<P>& rs = states_[r];
-            work[r] += dg_.part(r).local_in_degree[rl];
-            ++msgs;
-            bytes += wire_bytes<typename P::Msg>();
-            wire += wire::single_record_bytes(part.gids[v],
-                                              sizeof(typename P::Msg));
-            if (!rs.has_msg[rl]) continue;
-            acc = first ? rs.msg[rl] : prog_.sum(acc, rs.msg[rl]);
-            first = false;
-            rs.has_msg[rl] = 0;
-          }
-
-          const VertexInfo info = vertex_info<P>(part, v);
-          s.applied[v] = 1;
-          const auto payload = prog_.apply(s.vdata[v], info, acc);
-
-          // Eager coherency: immediately replicate the new vertex data.
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            states_[r].vdata[rl] = s.vdata[v];
-            ++msgs;
-            bytes += wire_bytes<typename P::VData>();
-            wire += wire::single_record_bytes(part.gids[v],
-                                              sizeof(typename P::VData));
-          }
-          if (!payload) continue;
-
-          // Scatter on every replica along its local out-edges, with
-          // immediate visibility to later vertices in this round: a fresh
-          // activation strictly ahead of the (m, v) cursor joins its master
-          // machine's heap; at-or-behind ones stay in the frontier for the
-          // next round's derivation — exactly what a scan cursor would see.
-          auto scatter_at = [&](machine_t rm, lvid_t rv) {
-            const partition::Part& rpart = dg_.part(rm);
-            PartState<P>& rs = states_[rm];
-            for (std::uint64_t e = rpart.offsets[rv];
-                 e < rpart.offsets[rv + 1]; ++e) {
-              const lvid_t u = rpart.targets[e];
-              if (deposit_msg(prog_, rs, u,
-                              prog_.scatter(*payload, info,
-                                            rpart.weights[e]))) {
-                const machine_t mm = rpart.master[u];
-                const lvid_t ml = rpart.master_lvid[u];
-                if (mm > m || (mm == m && ml > v)) {
-                  auto& h = heaps[mm];
-                  h.push_back(ml);
-                  std::push_heap(h.begin(), h.end(), std::greater<>{});
-                }
-              }
-              ++work[rm];
-            }
-          };
-          scatter_at(m, v);
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            scatter_at(r, rl);
-          }
+    for (machine_t m = 0; m < dg_.num_machines(); ++m) {
+      const partition::Part& part = dg_.part(m);
+      PartState<P>& s = states_[m];
+      auto& pend = pending_[m];
+      auto& heap = heaps_[m];
+      std::size_t next = 0;
+      bool have_last = false;
+      lvid_t last = 0;
+      // Merge the static round-start list with the in-round heap; both
+      // produce ascending lvids, so the merged cursor is monotone and
+      // duplicate entries (several mirrors of one vertex activating) pop
+      // adjacently — dedup by comparing with the previous pop.
+      while (next < pend.size() || !heap.empty()) {
+        lvid_t v;
+        if (next < pend.size() &&
+            (heap.empty() || pend[next] <= heap.front())) {
+          v = pend[next++];
+        } else {
+          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+          v = heap.back();
+          heap.pop_back();
         }
-      }
+        if (have_last && v == last) continue;  // duplicate entry
+        last = v;
+        have_last = true;
 
-      cluster_.metrics().applies += applies;
-      cluster_.charge_compute(sim::SpanKind::kAsyncRound, work);
-      cluster_.charge_fine_grained(sim::SpanKind::kFineGrained, bytes, wire,
-                                   msgs);
-      if (sim::Tracer* t = cluster_.tracer()) {
-        t->record_superstep({.superstep = result.supersteps,
-                            .active_vertices = applies});
-      }
-      if (inspector_) inspector_(result.supersteps, states_);
-      // Coherency point: every update replicated eagerly within the round,
-      // so the round boundary is a consistent cut for fault injection.
-      recoverer.on_coherency_point(result.supersteps, states_);
-      if (!any) {
-        result.converged = true;
-        break;
+        // Eager gather: is the vertex active anywhere? (Stale entries —
+        // flags consumed since enqueueing — drop out here.)
+        bool have = s.has_msg[v];
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          have = have || states_[r].has_msg[rl];
+        }
+        if (!have) continue;
+        ++applies;
+
+        // PowerGraph recomputes the accumulator over the vertex's full
+        // in-neighbourhood: every replica walks its local in-edges and
+        // ships one accumulator, whether or not it saw local messages.
+        typename P::Msg acc{};
+        bool first = true;
+        if (s.has_msg[v]) {
+          acc = s.msg[v];
+          s.has_msg[v] = 0;
+          first = false;
+        }
+        work_[m] += part.local_in_degree[v] + 1;
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          PartState<P>& rs = states_[r];
+          work_[r] += dg_.part(r).local_in_degree[rl];
+          ++msgs;
+          bytes += wire_bytes<typename P::Msg>();
+          wire += wire::single_record_bytes(part.gids[v],
+                                            sizeof(typename P::Msg));
+          if (!rs.has_msg[rl]) continue;
+          acc = first ? rs.msg[rl] : prog_.sum(acc, rs.msg[rl]);
+          first = false;
+          rs.has_msg[rl] = 0;
+        }
+
+        const VertexInfo info = vertex_info<P>(part, v);
+        s.applied[v] = 1;
+        const auto payload = prog_.apply(s.vdata[v], info, acc);
+
+        // Eager coherency: immediately replicate the new vertex data.
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          states_[r].vdata[rl] = s.vdata[v];
+          ++msgs;
+          bytes += wire_bytes<typename P::VData>();
+          wire += wire::single_record_bytes(part.gids[v],
+                                            sizeof(typename P::VData));
+        }
+        if (!payload) continue;
+
+        // Scatter on every replica along its local out-edges, with
+        // immediate visibility to later vertices in this round: a fresh
+        // activation strictly ahead of the (m, v) cursor joins its master
+        // machine's heap; at-or-behind ones stay in the frontier for the
+        // next round's derivation — exactly what a scan cursor would see.
+        auto scatter_at = [&](machine_t rm, lvid_t rv) {
+          const partition::Part& rpart = dg_.part(rm);
+          PartState<P>& rs = states_[rm];
+          for (std::uint64_t e = rpart.offsets[rv];
+               e < rpart.offsets[rv + 1]; ++e) {
+            const lvid_t u = rpart.targets[e];
+            if (deposit_msg(prog_, rs, u,
+                            prog_.scatter(*payload, info,
+                                          rpart.weights[e]))) {
+              const machine_t mm = rpart.master[u];
+              const lvid_t ml = rpart.master_lvid[u];
+              if (mm > m || (mm == m && ml > v)) {
+                auto& h = heaps_[mm];
+                h.push_back(ml);
+                std::push_heap(h.begin(), h.end(), std::greater<>{});
+              }
+            }
+            ++work_[rm];
+          }
+        };
+        scatter_at(m, v);
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          scatter_at(r, rl);
+        }
       }
     }
 
-    finalize_result(result, cluster_, dg_, states_);
-    return result;
-  }
-
-  const std::vector<PartState<P>>& states() const { return states_; }
-
-  /// Invoked at the end of every Gauss-Seidel round: eager coherency pushes
-  /// each new vertex value to all mirrors within the update itself, so
-  /// replicas of every vertex hold identical vdata here.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
+    cluster_.metrics().applies += applies;
+    cluster_.charge_compute(sim::SpanKind::kAsyncRound, work_);
+    cluster_.charge_fine_grained(sim::SpanKind::kFineGrained, bytes, wire,
+                                 msgs);
+    return {.converged = applies == 0,
+            .snapshot = {.active_vertices = applies}};
   }
 
  private:
   const partition::DistributedGraph& dg_;
-  P prog_;
+  const P& prog_;
   sim::Cluster& cluster_;
-  AsyncOptions opts_;
-  std::vector<PartState<P>> states_;
-  CoherencyInspector<P> inspector_;
+  std::vector<PartState<P>>& states_;
+  std::vector<std::uint64_t> work_;
+  // Per machine: masters active at round start (sorted ascending) and a
+  // min-heap of masters activated mid-round ahead of the cursor.
+  std::vector<std::vector<lvid_t>> pending_, heaps_;
 };
 
 }  // namespace lazygraph::engine

@@ -7,9 +7,12 @@
 // the sync engine's cross-machine gather sets/clears flags of *distinct*
 // vertices concurrently, and distinct bits of one word
 // commute under fetch_or/fetch_and — so the result is bit-identical to the
-// serial order regardless of interleaving. Reads are plain loads: every
-// reader runs after the writers' fork/join barrier (pool join or serial
-// loop), which gives happens-before.
+// serial order regardless of interleaving. Reads through the proxy are
+// relaxed atomic loads too, because that gather also reads other machines'
+// flags while their owners write neighbouring bits of the same word (a
+// plain load there is a data race, which ThreadSanitizer reports). The
+// const accessors, count() and any() stay plain loads: they run after the
+// writers' fork/join barrier (pool join or serial loop).
 //
 // count() is a word-wise popcount — this is what makes count_msgs() O(n/64)
 // instead of the old O(n) byte scan.
@@ -55,7 +58,11 @@ class Bitset {
       return *this;
     }
 
-    operator bool() const { return (*word_ & mask_) != 0; }
+    operator bool() const {
+      return (std::atomic_ref<std::uint64_t>(*word_).load(
+                  std::memory_order_relaxed) &
+              mask_) != 0;
+    }
 
    private:
     std::uint64_t* word_;

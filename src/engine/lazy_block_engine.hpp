@@ -23,6 +23,8 @@
 // All sweeps are frontier-driven, and each machine runs its own serially
 // (Gauss-Seidel sub-sweeps in Stage 1, a snapshot sweep at the coherency
 // point), so the run is bit-deterministic across cluster thread counts.
+//
+// This is the coherency policy only; engine::run's driver owns the run loop.
 #pragma once
 
 #include <algorithm>
@@ -33,52 +35,46 @@
 #include "engine/comm_mode.hpp"
 #include "engine/interval_model.hpp"
 #include "engine/local_sweep.hpp"
+#include "engine/policy.hpp"
 #include "engine/state.hpp"
-#include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct LazyOptions {
-  std::uint64_t max_supersteps = 1'000'000;
-  IntervalModelConfig interval = {};
-  CommModePolicy comm_policy = CommModePolicy::kAdaptive;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-  /// Direction policy for the coherency-point snapshot sweeps (push staging,
-  /// CSC pull, or the adaptive frontier-density rule). Stage 1's
-  /// Gauss-Seidel sub-sweeps are push by definition and ignore the knob.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-};
-
 template <VertexProgram P>
 class LazyBlockAsyncEngine {
  public:
-  LazyBlockAsyncEngine(const partition::DistributedGraph& dg, P prog,
-                       sim::Cluster& cluster, LazyOptions opts = {},
-                       double graph_ev_ratio = 0.0)
-      : dg_(dg),
-        prog_(std::move(prog)),
+  LazyBlockAsyncEngine(const RunConfig& cfg,
+                       const partition::DistributedGraph& dg, const P& prog,
+                       sim::Cluster& cluster,
+                       std::vector<PartState<P>>& states)
+      : cfg_(cfg),
+        dg_(dg),
+        prog_(prog),
         cluster_(cluster),
-        opts_(opts),
-        interval_(opts.interval, graph_ev_ratio) {
-    require(cluster.num_machines() == dg.num_machines(),
-            "LazyBlockAsyncEngine: cluster/graph machine count mismatch");
-  }
-
-  RunResult<P> run() {
-    const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
-    cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, opts_.init);
-    exch_pending_.assign(p, {});
-    exch_fresh_.assign(p, {});
+        states_(states),
+        interval_(cfg.interval, cfg.graph_ev_ratio > 0.0
+                                    ? cfg.graph_ev_ratio
+                                    : dg.user_ev_ratio()),
+        work_(dg.num_machines()),
+        subiters_(dg.num_machines()),
+        sweepc_(dg.num_machines()),
+        sweep_dirs_(dg.num_machines()),
+        exch_pending_(dg.num_machines()),
+        exch_fresh_(dg.num_machines()),
+        exch_est_a2a_(dg.num_machines()),
+        exch_est_m2m_(dg.num_machines()),
+        exch_msgs_(dg.num_machines()),
+        exch_bytes_(dg.num_machines()),
+        exch_up_coders_(std::size_t{dg.num_machines()} * dg.num_machines()),
+        exch_down_coders_(std::size_t{dg.num_machines()} *
+                          dg.num_machines()) {
     // Reserve the pooled exchange scratch to its structural worst case —
     // every replica of every spanning master flagged in one exchange — so
     // steady-state coherency points never grow these buffers (the alloc
     // probe asserts supersteps allocate nothing after warmup).
-    for (machine_t m = 0; m < p; ++m) {
-      const partition::Part& part = dg_.part(m);
+    for (machine_t m = 0; m < dg.num_machines(); ++m) {
+      const partition::Part& part = dg.part(m);
       std::uint64_t replicas = 0;
       for (lvid_t v = 0; v < part.num_local(); ++v) {
         if (part.master[v] == m) replicas += 1 + part.remote_replicas[v].size();
@@ -86,193 +82,126 @@ class LazyBlockAsyncEngine {
       exch_pending_[m].reserve(replicas);
       exch_fresh_[m].reserve(replicas);
     }
-    exch_est_a2a_.assign(p, 0);
-    exch_est_m2m_.assign(p, 0);
-    exch_msgs_.assign(p, 0);
-    exch_bytes_.assign(p, 0);
-    exch_up_coders_.assign(std::size_t{p} * p, {});
-    exch_down_coders_.assign(std::size_t{p} * p, {});
-    recovery::Recoverer<P> recoverer(cluster_, dg_);
-
-    RunResult<P> result;
-    std::vector<std::uint64_t> work(p), applies(p), subiters(p), scanned(p);
-    // Per-machine sweep counters and direction votes for the superstep
-    // (members of the hoisted scratch so steady state allocates nothing).
-    // A machine votes only when it actually swept; -1 no vote, 0 push,
-    // 1 pull, 2 mixed.
-    std::vector<SweepCounters> sweepc(p);
-    std::vector<int> sweep_dirs(p);
-    auto fold_dirs = [&]() {
-      int agg = -1;
-      for (machine_t m = 0; m < p; ++m) {
-        const int dm = sweep_dirs[m];
-        if (dm == -1) continue;
-        agg = (agg == -1 || agg == dm) ? dm : 2;
-      }
-      return agg;
-    };
-    bool do_local = false;  // the paper's first iteration skips Stage 1
-
-    for (std::uint64_t step = 0; step < opts_.max_supersteps; ++step) {
-      ++cluster_.metrics().supersteps;
-      ++result.supersteps;
-      const double iter_start_seconds = cluster_.metrics().sim_seconds();
-      std::fill(sweep_dirs.begin(), sweep_dirs.end(), -1);
-
-      // ---- Stage 1: local computation. ----
-      if (do_local) {
-        std::fill(work.begin(), work.end(), 0);
-        std::fill(applies.begin(), applies.end(), 0);
-        std::fill(subiters.begin(), subiters.end(), 0);
-        std::fill(scanned.begin(), scanned.end(), 0);
-        std::fill(sweepc.begin(), sweepc.end(), SweepCounters{});
-        const double first_iter_seconds = first_iter_seconds_;
-        cluster_.parallel_machines([&](machine_t m) {
-          const partition::Part& part = dg_.part(m);
-          PartState<P>& s = states_[m];
-          std::uint64_t budget = 0;
-          bool first = true;
-          for (;;) {
-            const SweepCounters c =
-                local_sweep(prog_, part, s, SweepMode::kGaussSeidel);
-            scanned[m] += c.scanned;
-            sweepc[m] += c;
-            if (c.work != 0 || c.pull_rounds != 0) {
-              const int dm = c.pull_rounds > 0 ? 1 : 0;
-              sweep_dirs[m] =
-                  (sweep_dirs[m] == -1 || sweep_dirs[m] == dm) ? dm : 2;
-            }
-            if (c.work == 0) break;
-            work[m] += c.work;
-            applies[m] += c.applies;
-            ++subiters[m];
-            if (first) {
-              budget = interval_.local_stage_budget(
-                  c.work, first_iter_seconds, cluster_.net().config().teps);
-              first = false;
-            }
-            if (work[m] >= budget) break;  // the "3T" bound
-          }
-        });
-        cluster_.charge_compute(sim::SpanKind::kLocalStage, work);
-        for (machine_t m = 0; m < p; ++m) {
-          cluster_.metrics().applies += applies[m];
-          cluster_.metrics().local_subiterations += subiters[m];
-          cluster_.metrics().sweep_scanned += scanned[m];
-          cluster_.metrics().sweep_pull_rounds += sweepc[m].pull_rounds;
-          cluster_.metrics().sweep_edges_pushed += sweepc[m].pushed;
-          cluster_.metrics().sweep_edges_pulled += sweepc[m].pulled;
-          cluster_.metrics().sweep_staging_avoided_bytes +=
-              sweepc[m].staging_avoided_bytes;
-        }
-      }
-
-      // ---- Stage 2: data coherency. ----
-      const CommDecision comm = exchange_deltas();
-      cluster_.charge_barrier();  // the single global sync of the iteration
-
-      std::uint64_t active = 0;
-      for (machine_t m = 0; m < p; ++m) active += states_[m].count_msgs();
-      if (active == 0) {
-        record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                  fold_dirs());
-        // The exchange delivered nothing and no messages are pending: the
-        // previous coherency point's view is still the global one.
-        if (inspector_) inspector_(result.supersteps, states_);
-        recoverer.on_coherency_point(result.supersteps, states_);
-        result.converged = true;
-        break;
-      }
-      // Algorithm 1 line 16: lazy mode is sticky once turned on.
-      const bool decision = interval_.turn_on_lazy(active);
-      do_local = do_local || decision;
-
-      // ---- Coherency point: apply + scatter the merged view. ----
-      // Batch (snapshot) semantics per Algorithm 1: every vertex applies its
-      // complete merged accumulator exactly once.
-      std::fill(work.begin(), work.end(), 0);
-      std::fill(applies.begin(), applies.end(), 0);
-      std::fill(scanned.begin(), scanned.end(), 0);
-      std::fill(sweepc.begin(), sweepc.end(), SweepCounters{});
-      cluster_.parallel_machines([&](machine_t m) {
-        const SweepCounters c =
-            local_sweep(prog_, dg_.part(m), states_[m], SweepMode::kSnapshot,
-                        opts_.sweep);
-        work[m] = c.work;
-        applies[m] = c.applies;
-        scanned[m] = c.scanned;
-        sweepc[m] = c;
-        if (c.work != 0 || c.pull_rounds != 0) {
-          const int dm = c.pull_rounds > 0 ? 1 : 0;
-          sweep_dirs[m] = (sweep_dirs[m] == -1 || sweep_dirs[m] == dm) ? dm : 2;
-        }
-      });
-      cluster_.charge_compute(sim::SpanKind::kApplySweep, work);
-      for (machine_t m = 0; m < p; ++m) {
-        cluster_.metrics().applies += applies[m];
-        cluster_.metrics().sweep_scanned += scanned[m];
-        cluster_.metrics().sweep_pull_rounds += sweepc[m].pull_rounds;
-        cluster_.metrics().sweep_edges_pushed += sweepc[m].pushed;
-        cluster_.metrics().sweep_edges_pulled += sweepc[m].pulled;
-        cluster_.metrics().sweep_staging_avoided_bytes +=
-            sweepc[m].staging_avoided_bytes;
-      }
-      // Recorded after the coherency sweep so the snapshot's direction covers
-      // every sweep of this superstep (Stage 1 sub-sweeps and the coherency
-      // apply+scatter). Snapshot contents are otherwise unchanged: the
-      // interval/comm decisions above are already fixed, and the step-0
-      // T calibration below has not run yet.
-      record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                fold_dirs());
-      if (inspector_) inspector_(result.supersteps, states_);
-
-      // "We collect the execution time T of the first iteration ... online":
-      // the first full coherency round calibrates the 3T local-stage budget.
-      if (step == 0) {
-        first_iter_seconds_ =
-            cluster_.metrics().sim_seconds() - iter_start_seconds;
-      }
-      // Coherency point for fault injection. Deliberately AFTER the T
-      // calibration above: guard/recovery charges must not inflate the
-      // measured T, or the 3T budget (and hence the whole trajectory) would
-      // differ between a failure run and the failure-free baseline.
-      recoverer.on_coherency_point(result.supersteps, states_);
-    }
-
-    finalize_result(result, cluster_, dg_, states_);
-    return result;
   }
 
-  const std::vector<PartState<P>>& states() const { return states_; }
+  /// Places the init messages; returns the slots scanned doing so.
+  std::uint64_t init(const InitInjection* inj) {
+    return init_lazy_messages(prog_, dg_, states_, inj);
+  }
 
-  /// Invoked after every coherency point's apply+scatter sweep (and at the
-  /// terminal quiescent exchange): every replica has folded in the others'
-  /// deltas and applied the same merged accumulator, so all replicas of a
-  /// vertex hold the identical global view (paper §3.2) — exactly for
-  /// semilattice Sums, up to floating-point association for additive ones.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
+  /// One outer iteration: Stage 1, the delta exchange, and the coherency
+  /// point's apply+scatter sweep. Coherent at every end — every replica has
+  /// folded in the others' deltas and applied the same merged accumulator,
+  /// so all replicas of a vertex hold the identical global view (paper
+  /// §3.2): exactly for semilattice Sums, up to floating-point association
+  /// for additive ones. The terminal quiescent exchange is coherent too: it
+  /// delivered nothing, so the previous coherency point's view still holds.
+  StepReport step(OpenSuperstep open) {
+    open();
+    const machine_t p = dg_.num_machines();
+    const double iter_start_seconds = cluster_.metrics().sim_seconds();
+    std::fill(sweep_dirs_.begin(), sweep_dirs_.end(), -1);
+    // A machine votes on the direction only for sweeps that did something.
+    const auto vote = [&](machine_t m, const SweepCounters& c) {
+      if (c.work != 0 || c.pull_rounds != 0) {
+        sweep_dirs_[m] = fold_vote(sweep_dirs_[m], sweep_vote(c));
+      }
+    };
+
+    // ---- Stage 1: local computation. ----
+    if (do_local_) {
+      std::fill(work_.begin(), work_.end(), 0);
+      std::fill(subiters_.begin(), subiters_.end(), 0);
+      std::fill(sweepc_.begin(), sweepc_.end(), SweepCounters{});
+      cluster_.parallel_machines([&](machine_t m) {
+        const partition::Part& part = dg_.part(m);
+        PartState<P>& s = states_[m];
+        std::uint64_t budget = 0;
+        bool first = true;
+        for (;;) {
+          const SweepCounters c =
+              local_sweep(prog_, part, s, SweepMode::kGaussSeidel);
+          sweepc_[m] += c;
+          vote(m, c);
+          if (c.work == 0) break;
+          work_[m] += c.work;
+          ++subiters_[m];
+          if (first) {
+            budget = interval_.local_stage_budget(
+                c.work, first_iter_seconds_, cluster_.net().config().teps);
+            first = false;
+          }
+          if (work_[m] >= budget) break;  // the "3T" bound
+        }
+      });
+      cluster_.charge_compute(sim::SpanKind::kLocalStage, work_);
+      for (machine_t m = 0; m < p; ++m) {
+        add_sweep_metrics(cluster_.metrics(), sweepc_[m]);
+        cluster_.metrics().local_subiterations += subiters_[m];
+      }
+    }
+
+    // ---- Stage 2: data coherency. ----
+    const CommDecision comm = exchange_deltas();
+    cluster_.charge_barrier();  // the single global sync of the iteration
+
+    std::uint64_t active = 0;
+    for (machine_t m = 0; m < p; ++m) active += states_[m].count_msgs();
+    if (active == 0) {
+      // The exchange delivered nothing and no messages are pending.
+      return {.converged = true, .snapshot = snapshot(active, comm)};
+    }
+    // Algorithm 1 line 16: lazy mode is sticky once turned on.
+    const bool decision = interval_.turn_on_lazy(active);
+    do_local_ = do_local_ || decision;
+
+    // ---- Coherency point: apply + scatter the merged view. ----
+    // Batch (snapshot) semantics per Algorithm 1: every vertex applies its
+    // complete merged accumulator exactly once.
+    cluster_.parallel_machines([&](machine_t m) {
+      const SweepCounters c = local_sweep(prog_, dg_.part(m), states_[m],
+                                          SweepMode::kSnapshot, cfg_.sweep);
+      work_[m] = c.work;
+      sweepc_[m] = c;
+      vote(m, c);
+    });
+    cluster_.charge_compute(sim::SpanKind::kApplySweep, work_);
+    for (machine_t m = 0; m < p; ++m) {
+      add_sweep_metrics(cluster_.metrics(), sweepc_[m]);
+    }
+    // Taken after the coherency sweep so the snapshot's direction covers
+    // every sweep of this superstep, and before the T calibration below.
+    const StepReport report{.snapshot = snapshot(active, comm)};
+
+    // "We collect the execution time T of the first iteration ... online":
+    // the first full coherency round calibrates the 3T local-stage budget.
+    // The driver's guard runs after this step returns, so guard/recovery
+    // charges never inflate the measured T (a failure run keeps the
+    // failure-free trajectory).
+    if (!calibrated_) {
+      first_iter_seconds_ =
+          cluster_.metrics().sim_seconds() - iter_start_seconds;
+      calibrated_ = true;
+    }
+    return report;
   }
 
  private:
-  /// Logs what the adaptive machinery decided this superstep: the interval
-  /// model's verdict and trend, the measured T behind the 3T budget, and the
-  /// comm-mode selection with its fitted-curve predictions.
-  void record_superstep_snapshot(std::uint64_t superstep, std::uint64_t active,
-                                 bool lazy_on, const CommDecision& comm,
-                                 int sweep_dir) {
-    sim::Tracer* t = cluster_.tracer();
-    if (!t) return;
-    sim::SuperstepSnapshot snap;
-    snap.superstep = superstep;
-    snap.active_vertices = active;
-    snap.lazy_on = lazy_on;
-    snap.trend = interval_.last_trend();
-    snap.measured_t_seconds = first_iter_seconds_;
-    snap.comm_mode = static_cast<int>(comm.mode);
-    snap.prediction = comm.prediction;
-    snap.sweep_dir = sweep_dir;
-    t->record_superstep(snap);
+  /// What the adaptive machinery decided this superstep: the interval
+  /// model's verdict and trend, the measured T behind the 3T budget, the
+  /// comm-mode selection with its fitted-curve predictions, and the sweep
+  /// direction vote.
+  sim::SuperstepSnapshot snapshot(std::uint64_t active,
+                                  const CommDecision& comm) const {
+    int sweep_dir = -1;
+    for (const int d : sweep_dirs_) sweep_dir = fold_vote(sweep_dir, d);
+    return {.active_vertices = active,
+            .lazy_on = do_local_,
+            .trend = interval_.last_trend(),
+            .measured_t_seconds = first_iter_seconds_,
+            .comm_mode = static_cast<int>(comm.mode),
+            .prediction = comm.prediction,
+            .sweep_dir = sweep_dir};
   }
 
   // Exchange_deltaMsgs: estimate both patterns' volumes with the paper's
@@ -289,23 +218,9 @@ class LazyBlockAsyncEngine {
 
     // Derive per-master worklists from the delta frontiers. Every raised
     // has_delta flag is cleared by the delivery pass below (deltas only
-    // exist on spanning vertices, all of which it visits), so the frontiers
-    // can be dropped now.
-    for (auto& l : exch_pending_) l.clear();
-    for (machine_t r = 0; r < p; ++r) {
-      const partition::Part& rp = dg_.part(r);
-      PartState<P>& rs = states_[r];
-      cluster_.metrics().sweep_scanned +=
-          rs.delta_frontier.for_each_flagged(rs.has_delta, [&](lvid_t u) {
-            exch_pending_[rp.master[u]].push_back(rp.master_lvid[u]);
-          });
-      rs.delta_frontier.clear();
-    }
-    cluster_.parallel_machines([&](machine_t m) {
-      auto& l = exch_pending_[m];
-      std::sort(l.begin(), l.end());
-      l.erase(std::unique(l.begin(), l.end()), l.end());
-    });
+    // exist on spanning vertices, all of which it visits).
+    route_flagged_to_masters<true>(dg_, states_, cluster_, exch_pending_,
+                                   /*sort_on_pool=*/true);
 
     // Pass 1: volume estimates (read-only). Deliberately computed on the
     // UNCOMPRESSED per-record size: the paper's fitted cost curves were
@@ -335,7 +250,7 @@ class LazyBlockAsyncEngine {
       est.m2m_bytes += est_m2m[m];
     }
     const CommDecision decision =
-        decide_comm_mode(opts_.comm_policy, cluster_.net(), est);
+        decide_comm_mode(cfg_.comm_policy, cluster_.net(), est);
     const sim::CommMode mode = decision.mode;
 
     // Pass 2: deliver and clear.
@@ -463,12 +378,20 @@ class LazyBlockAsyncEngine {
     return decision;
   }
 
+  const RunConfig& cfg_;
   const partition::DistributedGraph& dg_;
-  P prog_;
+  const P& prog_;
   sim::Cluster& cluster_;
-  LazyOptions opts_;
+  std::vector<PartState<P>>& states_;
   IntervalModel interval_;
-  std::vector<PartState<P>> states_;
+  bool do_local_ = false;  // the paper's first iteration skips Stage 1
+  bool calibrated_ = false;
+  double first_iter_seconds_ = 0.0;
+  // Per-machine superstep scratch: work, Stage 1 sub-iterations, sweep
+  // counters, and direction votes (-1 no vote, 0 push, 1 pull, 2 mixed).
+  std::vector<std::uint64_t> work_, subiters_;
+  std::vector<SweepCounters> sweepc_;
+  std::vector<int> sweep_dirs_;
   std::vector<std::vector<lvid_t>> exch_pending_;
   std::vector<std::vector<std::pair<machine_t, lvid_t>>> exch_fresh_;
   // Pooled per-exchange scratch (estimates, per-machine tallies, and the
@@ -477,8 +400,6 @@ class LazyBlockAsyncEngine {
   std::vector<std::uint64_t> exch_est_a2a_, exch_est_m2m_;
   std::vector<std::uint64_t> exch_msgs_, exch_bytes_;
   std::vector<wire::DeltaSizeCoder> exch_up_coders_, exch_down_coders_;
-  CoherencyInspector<P> inspector_;
-  double first_iter_seconds_ = 0.0;
 };
 
 }  // namespace lazygraph::engine

@@ -10,6 +10,8 @@
 // updates since its last coherency event; additionally, when every queue
 // drains, all replicas with outstanding deltas are flushed (which either
 // terminates the run or reactivates vertices).
+//
+// This is the coherency policy only; engine::run's driver owns the run loop.
 #pragma once
 
 #include <algorithm>
@@ -19,41 +21,35 @@
 #include <vector>
 
 #include "engine/local_sweep.hpp"
+#include "engine/policy.hpp"
 #include "engine/state.hpp"
-#include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct LazyVertexOptions {
-  std::uint64_t max_cycles = 10'000'000;
-  /// Local applies a spanning replica may perform between coherency events.
-  std::uint32_t staleness = 4;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-};
-
 template <VertexProgram P>
 class LazyVertexAsyncEngine {
  public:
-  LazyVertexAsyncEngine(const partition::DistributedGraph& dg, P prog,
-                        sim::Cluster& cluster, LazyVertexOptions opts = {})
-      : dg_(dg), prog_(std::move(prog)), cluster_(cluster), opts_(opts) {
-    require(cluster.num_machines() == dg.num_machines(),
-            "LazyVertexAsyncEngine: cluster/graph machine count mismatch");
-  }
+  LazyVertexAsyncEngine(const RunConfig& cfg,
+                        const partition::DistributedGraph& dg, const P& prog,
+                        sim::Cluster& cluster,
+                        std::vector<PartState<P>>& states)
+      : cfg_(cfg),
+        dg_(dg),
+        prog_(prog),
+        cluster_(cluster),
+        states_(states),
+        queues_(dg.num_machines()),
+        in_queue_(dg.num_machines()),
+        applies_since_(dg.num_machines()),
+        flush_pending_(dg.num_machines()),
+        work_(dg.num_machines()) {}
 
-  RunResult<P> run() {
-    const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
-    cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, opts_.init);
-
-    queues_.assign(p, {});
-    in_queue_.resize(p);
-    applies_since_.resize(p);
-    flush_pending_.assign(p, {});
-    for (machine_t m = 0; m < p; ++m) {
+  /// Places the init messages and seeds the queues with every replica
+  /// holding one; returns the slots scanned placing them.
+  std::uint64_t init(const InitInjection* inj) {
+    const std::uint64_t scanned = init_lazy_messages(prog_, dg_, states_, inj);
+    for (machine_t m = 0; m < dg_.num_machines(); ++m) {
       const lvid_t n = dg_.part(m).num_local();
       in_queue_[m].assign(n, 0);
       applies_since_[m].assign(n, 0);
@@ -65,81 +61,96 @@ class LazyVertexAsyncEngine {
       // unboundedly. The delta frontiers stay on — they drive the flush.
       states_[m].frontier.set_tracking(false);
     }
-
-    // This engine keeps activation state outside PartState (the queues and
-    // staleness counters), so the recoverer snapshots/restores it through
-    // the extra-state hooks alongside the replica tables.
-    recovery::Recoverer<P> recoverer(cluster_, dg_);
-    recoverer.set_extra_state_hooks(
-        [this](machine_t m) { return save_queue_state(m); },
-        [this](machine_t m, const std::vector<std::uint8_t>& blob) {
-          restore_queue_state(m, blob);
-        });
-
-    RunResult<P> result;
-    std::vector<std::uint64_t> work(p);
-
-    for (std::uint64_t cycle = 0; cycle < opts_.max_cycles; ++cycle) {
-      std::fill(work.begin(), work.end(), 0);
-      msgs_ = bytes_ = wire_ = 0;
-      bool any = false;
-      std::uint64_t active = 0;
-      for (machine_t m = 0; m < p; ++m) active += queues_[m].size();
-
-      for (machine_t m = 0; m < p; ++m) {
-        // Snapshot the queue length: items pushed during this cycle are
-        // handled next cycle (keeps cycles finite and deterministic).
-        std::size_t budget = queues_[m].size();
-        while (budget-- > 0) {
-          const lvid_t v = queues_[m].front();
-          queues_[m].pop_front();
-          in_queue_[m][v] = 0;
-          any |= step_vertex(m, v, work);
-        }
-      }
-
-      if (!any) {
-        // All queues drained: flush outstanding deltas. If that delivers
-        // nothing new, the algorithm has terminated; the detection cycle did
-        // no work and is not counted as a superstep.
-        if (!flush_all_deltas(work)) {
-          result.converged = true;
-          if (inspector_) inspector_(result.supersteps, states_);
-          break;
-        }
-        // Drain cycle: the flush reactivated vertices. Report the delivered
-        // activations, not the (empty) pre-flush queue length.
-        active = 0;
-        for (machine_t m = 0; m < p; ++m) active += queues_[m].size();
-      }
-      ++cluster_.metrics().supersteps;
-      ++result.supersteps;
-      cluster_.charge_compute(sim::SpanKind::kLocalStage, work);
-      cluster_.charge_fine_grained(sim::SpanKind::kCoherencyExchange, bytes_,
-                                   wire_, msgs_);
-      if (sim::Tracer* t = cluster_.tracer()) {
-        t->record_superstep({.superstep = result.supersteps,
-                            .active_vertices = active});
-      }
-      // Fault-injection point: end of a counted cycle. Not a replica-
-      // coherent cut like the other engines' (per-vertex coherency leaves
-      // deliveries pending), but the guard image + queue snapshot capture
-      // the full machine state, so a rebuild is still bit-exact.
-      recoverer.on_coherency_point(result.supersteps, states_);
-    }
-
-    finalize_result(result, cluster_, dg_, states_);
-    return result;
+    return scanned;
   }
 
-  const std::vector<PartState<P>>& states() const { return states_; }
+  /// One queue cycle. A counted cycle is not coherent: per-vertex coherency
+  /// events merge deltas but leave the delivery pending in the replicas'
+  /// message slots. When every queue drains, all outstanding deltas are
+  /// flushed; a flush that delivers nothing ends the run with an uncounted
+  /// detection cycle, the one point where every replica holds the identical
+  /// global view. Whether the cycle counts is only known after the queue
+  /// pass (stale queue entries can consume nothing), so it opens its
+  /// superstep after the pass and before its charges.
+  StepReport step(OpenSuperstep open) {
+    const machine_t p = dg_.num_machines();
+    std::fill(work_.begin(), work_.end(), 0);
+    msgs_ = bytes_ = wire_ = 0;
+    bool any = false;
+    std::uint64_t active = 0;
+    for (machine_t m = 0; m < p; ++m) active += queues_[m].size();
 
-  /// Invoked once, at termination: per-vertex coherency events merge deltas
-  /// but leave the delivery pending in the replicas' message slots, so the
-  /// identical global view is only guaranteed once every queue has drained
-  /// and the final flush delivers nothing.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
+    for (machine_t m = 0; m < p; ++m) {
+      // Snapshot the queue length: items pushed during this cycle are
+      // handled next cycle (keeps cycles finite and deterministic).
+      std::size_t budget = queues_[m].size();
+      while (budget-- > 0) {
+        const lvid_t v = queues_[m].front();
+        queues_[m].pop_front();
+        in_queue_[m][v] = 0;
+        any |= step_vertex(m, v);
+      }
+    }
+
+    if (!any) {
+      if (!flush_all_deltas()) return {.coherent = true, .converged = true};
+      // Drain cycle: the flush reactivated vertices. Report the delivered
+      // activations, not the (empty) pre-flush queue length.
+      active = 0;
+      for (machine_t m = 0; m < p; ++m) active += queues_[m].size();
+    }
+    open();
+    cluster_.charge_compute(sim::SpanKind::kLocalStage, work_);
+    cluster_.charge_fine_grained(sim::SpanKind::kCoherencyExchange, bytes_,
+                                 wire_, msgs_);
+    return {.coherent = false, .snapshot = {.active_vertices = active}};
+  }
+
+  /// Serializes machine m's engine-private activation state for the guard
+  /// image: queue contents (order matters — it is the processing schedule)
+  /// followed by the raw staleness counters. in_queue_ is derivable (queue
+  /// membership) and rebuilt on restore. A counted cycle is not a
+  /// replica-coherent cut like the other engines' step ends, but the guard
+  /// image plus this blob capture the full machine state, so a rebuild is
+  /// still bit-exact.
+  std::vector<std::uint8_t> save_extra_state(machine_t m) const {
+    const std::uint64_t count = queues_[m].size();
+    std::vector<std::uint8_t> blob(sizeof(count) + count * sizeof(lvid_t) +
+                                   applies_since_[m].size() *
+                                       sizeof(std::uint32_t));
+    std::uint8_t* out = blob.data();
+    std::memcpy(out, &count, sizeof(count));
+    out += sizeof(count);
+    for (const lvid_t v : queues_[m]) {
+      std::memcpy(out, &v, sizeof(v));
+      out += sizeof(v);
+    }
+    if (!applies_since_[m].empty()) {
+      std::memcpy(out, applies_since_[m].data(),
+                  applies_since_[m].size() * sizeof(std::uint32_t));
+    }
+    return blob;
+  }
+
+  void restore_extra_state(machine_t m,
+                           const std::vector<std::uint8_t>& blob) {
+    const std::uint8_t* in = blob.data();
+    std::uint64_t count = 0;
+    std::memcpy(&count, in, sizeof(count));
+    in += sizeof(count);
+    queues_[m].clear();
+    std::fill(in_queue_[m].begin(), in_queue_[m].end(), 0);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      lvid_t v;
+      std::memcpy(&v, in, sizeof(v));
+      in += sizeof(v);
+      queues_[m].push_back(v);
+      in_queue_[m][v] = 1;
+    }
+    if (!applies_since_[m].empty()) {
+      std::memcpy(applies_since_[m].data(), in,
+                  applies_since_[m].size() * sizeof(std::uint32_t));
+    }
   }
 
  private:
@@ -151,14 +162,14 @@ class LazyVertexAsyncEngine {
   }
 
   /// Processes one queued replica; returns whether it did anything.
-  bool step_vertex(machine_t m, lvid_t v, std::vector<std::uint64_t>& work) {
+  bool step_vertex(machine_t m, lvid_t v) {
     const partition::Part& part = dg_.part(m);
     PartState<P>& s = states_[m];
     const bool spans = part.num_replicas(v) > 1;
 
     bool did = false;
-    if (spans && applies_since_[m][v] >= opts_.staleness) {
-      did |= coherency_event(m, v, work);
+    if (spans && applies_since_[m][v] >= cfg_.staleness) {
+      did |= coherency_event(m, v);
     }
     if (!s.has_msg[v]) return did;
 
@@ -167,7 +178,7 @@ class LazyVertexAsyncEngine {
     s.has_msg[v] = 0;
     const VertexInfo info = vertex_info<P>(part, v);
     ++cluster_.metrics().applies;
-    ++work[m];
+    ++work_[m];
     if (spans) ++applies_since_[m][v];
     s.applied[v] = 1;
     const auto payload = prog_.apply(s.vdata[v], info, acc);
@@ -181,7 +192,7 @@ class LazyVertexAsyncEngine {
           deposit_delta(prog_, s, u, out);
         }
         enqueue(m, u);
-        ++work[m];
+        ++work_[m];
       }
     }
     return true;
@@ -190,8 +201,7 @@ class LazyVertexAsyncEngine {
   /// Per-vertex data coherency: all replicas of the vertex exchange deltas
   /// (counted as fine-grained all-to-all traffic), fold in the others', and
   /// are reactivated. Returns whether any delta was outstanding.
-  bool coherency_event(machine_t m, lvid_t v,
-                       std::vector<std::uint64_t>& work) {
+  bool coherency_event(machine_t m, lvid_t v) {
     const partition::Part& part = dg_.part(m);
 
     bool have = false;
@@ -229,7 +239,7 @@ class LazyVertexAsyncEngine {
       }
       applies_since_[rm][rv] = 0;
       if (rs.has_msg[rv]) enqueue(rm, rv);
-      ++work[rm];
+      ++work_[rm];
     };
     deliver(m, v);
     for (const auto& [r, rl] : part.remote_replicas[v]) deliver(r, rl);
@@ -253,87 +263,31 @@ class LazyVertexAsyncEngine {
   /// counters are not reset at a flush — a deterministic schedule change
   /// with the same termination condition (flushes deliver exactly the
   /// outstanding deltas either way). Returns whether anything was delivered.
-  bool flush_all_deltas(std::vector<std::uint64_t>& work) {
-    const machine_t p = dg_.num_machines();
-    for (auto& l : flush_pending_) l.clear();
-    for (machine_t r = 0; r < p; ++r) {
-      const partition::Part& rp = dg_.part(r);
-      PartState<P>& rs = states_[r];
-      cluster_.metrics().sweep_scanned +=
-          rs.delta_frontier.for_each_flagged(rs.has_delta, [&](lvid_t u) {
-            flush_pending_[rp.master[u]].push_back(rp.master_lvid[u]);
-          });
-      // Every flagged delta below is cleared by its coherency event, so the
-      // worklist can be dropped now.
-      rs.delta_frontier.clear();
-    }
+  bool flush_all_deltas() {
+    // Every flagged delta is cleared by its coherency event below.
+    route_flagged_to_masters<true>(dg_, states_, cluster_, flush_pending_,
+                                   /*sort_on_pool=*/false);
     bool delivered = false;
-    for (machine_t m = 0; m < p; ++m) {
+    for (machine_t m = 0; m < dg_.num_machines(); ++m) {
       const partition::Part& part = dg_.part(m);
-      auto& l = flush_pending_[m];
-      std::sort(l.begin(), l.end());
-      l.erase(std::unique(l.begin(), l.end()), l.end());
-      for (const lvid_t v : l) {
+      for (const lvid_t v : flush_pending_[m]) {
         if (part.num_replicas(v) <= 1) continue;
-        delivered |= coherency_event(m, v, work);
+        delivered |= coherency_event(m, v);
       }
     }
     return delivered;
   }
 
-  /// Serializes machine m's engine-private activation state for the guard
-  /// image: queue contents (order matters — it is the processing schedule)
-  /// followed by the raw staleness counters. in_queue_ is derivable (queue
-  /// membership) and rebuilt on restore.
-  std::vector<std::uint8_t> save_queue_state(machine_t m) const {
-    const std::uint64_t count = queues_[m].size();
-    std::vector<std::uint8_t> blob(sizeof(count) + count * sizeof(lvid_t) +
-                                   applies_since_[m].size() *
-                                       sizeof(std::uint32_t));
-    std::uint8_t* out = blob.data();
-    std::memcpy(out, &count, sizeof(count));
-    out += sizeof(count);
-    for (const lvid_t v : queues_[m]) {
-      std::memcpy(out, &v, sizeof(v));
-      out += sizeof(v);
-    }
-    if (!applies_since_[m].empty()) {
-      std::memcpy(out, applies_since_[m].data(),
-                  applies_since_[m].size() * sizeof(std::uint32_t));
-    }
-    return blob;
-  }
-
-  void restore_queue_state(machine_t m, const std::vector<std::uint8_t>& blob) {
-    const std::uint8_t* in = blob.data();
-    std::uint64_t count = 0;
-    std::memcpy(&count, in, sizeof(count));
-    in += sizeof(count);
-    queues_[m].clear();
-    std::fill(in_queue_[m].begin(), in_queue_[m].end(), 0);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      lvid_t v;
-      std::memcpy(&v, in, sizeof(v));
-      in += sizeof(v);
-      queues_[m].push_back(v);
-      in_queue_[m][v] = 1;
-    }
-    if (!applies_since_[m].empty()) {
-      std::memcpy(applies_since_[m].data(), in,
-                  applies_since_[m].size() * sizeof(std::uint32_t));
-    }
-  }
-
+  const RunConfig& cfg_;
   const partition::DistributedGraph& dg_;
-  P prog_;
+  const P& prog_;
   sim::Cluster& cluster_;
-  LazyVertexOptions opts_;
-  std::vector<PartState<P>> states_;
+  std::vector<PartState<P>>& states_;
   std::vector<std::deque<lvid_t>> queues_;
   std::vector<std::vector<std::uint8_t>> in_queue_;
   std::vector<std::vector<std::uint32_t>> applies_since_;
   std::vector<std::vector<lvid_t>> flush_pending_;
-  CoherencyInspector<P> inspector_;
+  std::vector<std::uint64_t> work_;
   std::uint64_t msgs_ = 0, bytes_ = 0, wire_ = 0;
 };
 

@@ -19,6 +19,10 @@
 //       slots: no staging, no merge. The run order equals the push merge's
 //       per-target fold order over the same productive edges, so the two
 //       directions are bit-identical (DESIGN §5k).
+//
+// Also home to the per-superstep helpers the engines share: the
+// flagged-replica -> master worklist routing, and the serial fold of sweep
+// counters and push/pull votes into the run metrics and the snapshot.
 #pragma once
 
 #include <algorithm>
@@ -145,31 +149,24 @@ class ChunkEmitter {
 };
 
 /// Splits `n` items into chunks closed at the fixed kSweepEdgeBudget
-/// cumulative weight: chunk c spans items [bounds[c], bounds[c+1]) and, when
-/// `weights` is non-null, weights[c] holds the chunk's total weight (the
-/// staging reserve hint). weight(i) must be >= 1 so zero-degree runs still
-/// advance the budget. Purely degree-derived, which fixes the merge order
-/// and every counter for a given frontier.
+/// cumulative weight: chunk c spans items [bounds[c], bounds[c+1]).
+/// weight(i) must be >= 1 so zero-degree runs still advance the budget.
+/// Purely degree-derived, which fixes the merge order and every counter for
+/// a given frontier.
 template <class Weight>
 void build_weighted_chunks(std::size_t n, Weight&& weight,
-                           std::vector<std::size_t>& bounds,
-                           std::vector<std::uint64_t>* weights) {
+                           std::vector<std::size_t>& bounds) {
   bounds.clear();
   bounds.push_back(0);
-  if (weights) weights->clear();
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) {
     acc += weight(i);
     if (acc >= kSweepEdgeBudget) {
       bounds.push_back(i + 1);
-      if (weights) weights->push_back(acc);
       acc = 0;
     }
   }
-  if (bounds.back() != n) {
-    bounds.push_back(n);
-    if (weights) weights->push_back(acc);
-  }
+  if (bounds.back() != n) bounds.push_back(n);
 }
 
 /// The chunk-and-ordered-merge pass (the PUSH direction): runs
@@ -201,7 +198,7 @@ SweepCounters chunked_deposit_pass(const P& prog, const partition::Part& part,
         const lvid_t v = item_of(i);
         return 1 + (part.offsets[v + 1] - part.offsets[v]);
       },
-      sc.chunk_bounds, &sc.chunk_edges);
+      sc.chunk_bounds);
   const std::size_t nchunks = sc.chunk_bounds.size() - 1;
   if (sc.buckets.size() < nchunks) sc.buckets.resize(nchunks);  // grow-only
   for (std::size_t b = 0; b < nchunks; ++b) {
@@ -304,7 +301,7 @@ SweepCounters pull_deposit_pass(const P& prog, const partition::Part& part,
         [&](std::size_t v) {
           return 1 + (part.in_offsets[v + 1] - part.in_offsets[v]);
         },
-        sc.target_bounds, nullptr);
+        sc.target_bounds);
   }
   const std::size_t nchunks = sc.target_bounds.size() - 1;
   sc.chunk_counters.assign(nchunks, SweepCounters{});
@@ -364,6 +361,26 @@ SweepCounters pull_deposit_pass(const P& prog, const partition::Part& part,
   return c;
 }
 
+/// Resolves a chunked sweep's direction over its item list (true = pull).
+/// The adaptive rule is the sweep-cost crossover: push pays a staged write
+/// plus a merge read per frontier out-edge (2 * frontier_edges), pull pays
+/// one scan of every local in-edge (num_local_edges). Deterministic — both
+/// inputs are exact counters. Parts without the CSC mirror (hand-assembled
+/// fixtures) always push, as does the empty sweep (nothing to do either way).
+template <class Items>
+bool sweep_pulls(const partition::Part& part, const Items& items,
+                 SweepDirection dir) {
+  const bool has_mirror =
+      part.in_offsets.size() == static_cast<std::size_t>(part.num_local()) + 1;
+  if (!has_mirror || items.empty()) return false;
+  if (dir != SweepDirection::kAdaptive) return dir == SweepDirection::kPull;
+  std::uint64_t frontier_edges = 0;
+  for (const lvid_t v : items) {
+    frontier_edges += part.offsets[v + 1] - part.offsets[v];
+  }
+  return 2 * frontier_edges >= part.num_local_edges();
+}
+
 /// Snapshot-semantics sweep via the chunked pass: collect the entry frontier
 /// in ascending lvid order, then apply+scatter it chunk by chunk — push or
 /// pull per `dir` (adaptive resolves per sweep from the frontier's out-edge
@@ -395,25 +412,7 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
   }
   s.frontier.clear();  // fully consumed; deposits below re-arm it
 
-  // Resolve the direction. The adaptive rule is the sweep-cost crossover:
-  // push pays a staged write plus a merge read per frontier out-edge
-  // (2 * frontier_edges), pull pays one scan of every local in-edge
-  // (num_local_edges). Deterministic — both inputs are exact counters.
-  // Parts without the CSC mirror (hand-assembled fixtures) always push, as
-  // does the empty sweep (nothing to do either way).
-  const bool has_mirror =
-      part.in_offsets.size() == static_cast<std::size_t>(n) + 1;
-  SweepDirection d = dir;
-  if (d == SweepDirection::kAdaptive) {
-    std::uint64_t frontier_edges = 0;
-    for (const lvid_t v : sc.snapshot) {
-      frontier_edges += part.offsets[v + 1] - part.offsets[v];
-    }
-    d = 2 * frontier_edges >= part.num_local_edges() ? SweepDirection::kPull
-                                                     : SweepDirection::kPush;
-  }
-
-  if (d == SweepDirection::kPull && has_mirror && !sc.snapshot.empty()) {
+  if (sweep_pulls(part, sc.snapshot, dir)) {
     // Stage 1 (per edge-balanced item chunk): apply each snapshot vertex
     // and park its scatter payload in the slab arena's payload slot for the
     // fold to read.
@@ -423,7 +422,7 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
           const lvid_t v = sc.snapshot[i];
           return 1 + (part.offsets[v + 1] - part.offsets[v]);
         },
-        sc.chunk_bounds, &sc.chunk_edges);
+        sc.chunk_bounds);
     const std::size_t nchunks = sc.chunk_bounds.size() - 1;
     sc.chunk_counters.assign(nchunks, SweepCounters{});
     for (std::size_t ci = 0; ci < nchunks; ++ci) {
@@ -591,6 +590,65 @@ SweepCounters local_sweep(const P& prog, const partition::Part& part,
     return sweep_chunked(prog, part, s, dir);
   }
   return sweep_gauss_seidel(prog, part, s);
+}
+
+/// Folds one machine's sweep counters into the run metrics. Serial, after
+/// the pool join: cluster metrics are not thread-safe.
+inline void add_sweep_metrics(sim::SimMetrics& m, const SweepCounters& c) {
+  m.applies += c.applies;
+  m.sweep_scanned += c.scanned;
+  m.sweep_pull_rounds += c.pull_rounds;
+  m.sweep_edges_pushed += c.pushed;
+  m.sweep_edges_pulled += c.pulled;
+  m.sweep_staging_avoided_bytes += c.staging_avoided_bytes;
+}
+
+/// A swept machine's push/pull vote: 1 when any of its chunked sweeps pulled.
+inline int sweep_vote(const SweepCounters& c) {
+  return c.pull_rounds > 0 ? 1 : 0;
+}
+
+/// Folds `vote` into a direction tally (-1 no vote yet, 0 push, 1 pull,
+/// 2 mixed); a vote of -1 abstains. The tally is the snapshot's sweep_dir.
+inline int fold_vote(int tally, int vote) {
+  if (vote == -1) return tally;
+  return (tally == -1 || tally == vote) ? vote : 2;
+}
+
+/// The master-worklist derivation every engine runs: each replica flagged
+/// on a frontier (the message frontier, or the delta frontier when
+/// `Deltas`) routes its master's lvid into pending[master machine], the
+/// frontiers are dropped (callers consume every routed flag before the next
+/// derivation), and each list is sorted ascending and deduplicated — on the
+/// cluster pool when `sort_on_pool`, serially otherwise. The frontier
+/// entries examined count toward sweep_scanned.
+template <bool Deltas, VertexProgram P>
+void route_flagged_to_masters(const partition::DistributedGraph& dg,
+                              std::vector<PartState<P>>& states,
+                              sim::Cluster& cluster,
+                              std::vector<std::vector<lvid_t>>& pending,
+                              bool sort_on_pool) {
+  for (auto& l : pending) l.clear();
+  for (machine_t r = 0; r < dg.num_machines(); ++r) {
+    const partition::Part& rp = dg.part(r);
+    PartState<P>& rs = states[r];
+    Frontier& f = Deltas ? rs.delta_frontier : rs.frontier;
+    cluster.metrics().sweep_scanned +=
+        f.for_each_flagged(Deltas ? rs.has_delta : rs.has_msg, [&](lvid_t u) {
+          pending[rp.master[u]].push_back(rp.master_lvid[u]);
+        });
+    f.clear();
+  }
+  const auto sort_unique = [&](machine_t m) {
+    auto& l = pending[m];
+    std::sort(l.begin(), l.end());
+    l.erase(std::unique(l.begin(), l.end()), l.end());
+  };
+  if (sort_on_pool) {
+    cluster.parallel_machines(sort_unique);
+  } else {
+    for (machine_t m = 0; m < dg.num_machines(); ++m) sort_unique(m);
+  }
 }
 
 }  // namespace lazygraph::engine

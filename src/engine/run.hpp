@@ -1,109 +1,91 @@
-// The engine front door: one RunConfig carrying the engine kind, the
-// per-engine knobs, and an optional Tracer, dispatched through
-// engine::run(). The only place that constructs an engine: the CLI, the plan
-// executor, the query server and the differential oracle all come through
-// here.
+// The engine front door: one RunConfig (engine/policy.hpp) carrying the
+// engine kind, the per-engine knobs, and an optional Tracer, dispatched
+// through engine::run(). The only place that constructs an engine: the CLI,
+// the plan executor, the query server and the differential oracle all come
+// through here. Behind it, one driver runs every engine's superstep loop;
+// the engines themselves are only their coherency policies.
 #pragma once
 
-#include <stdexcept>
-#include <string>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "engine/async_engine.hpp"
 #include "engine/lazy_block_engine.hpp"
 #include "engine/lazy_vertex_engine.hpp"
+#include "engine/policy.hpp"
+#include "engine/state.hpp"
 #include "engine/sync_engine.hpp"
+#include "recovery/recovery.hpp"
 
 namespace lazygraph::engine {
 
-enum class EngineKind { kSync, kAsync, kLazyBlock, kLazyVertex };
+namespace detail {
 
-inline const char* to_string(EngineKind k) {
-  switch (k) {
-    case EngineKind::kSync: return "powergraph-sync";
-    case EngineKind::kAsync: return "powergraph-async";
-    case EngineKind::kLazyBlock: return "lazygraph-block";
-    case EngineKind::kLazyVertex: return "lazygraph-vertex";
+/// The run loop every engine shares: builds the replica states, lets
+/// `Engine` place its init messages, then steps it until it converges or
+/// the step bound is hit. A counted step (one that opened its superstep)
+/// ends in a fixed order: tracer snapshot, the inspector when the policy
+/// reports coherent replicas, the recovery guard, then the stop when
+/// converged. An uncounted step (lazy-vertex's terminal detection cycle)
+/// only fires the inspector.
+template <template <class> class Engine, VertexProgram P>
+RunResult<P> drive(const RunConfig& cfg, const InitInjection* inj,
+                   const partition::DistributedGraph& dg, const P& prog,
+                   sim::Cluster& cluster,
+                   const CoherencyInspector<P>& inspector) {
+  std::vector<PartState<P>> states = make_states(dg, prog, inj);
+  Engine<P> engine(cfg, dg, prog, cluster, states);
+  cluster.metrics().sweep_scanned += engine.init(inj);
+  recovery::Recoverer<P, Engine<P>> recoverer(cluster, dg, engine);
+
+  RunResult<P> result;
+  bool opened = false;
+  const auto open = [&] {
+    ++cluster.metrics().supersteps;
+    ++result.supersteps;
+    opened = true;
+  };
+  for (std::uint64_t i = 0; i < cfg.max_supersteps; ++i) {
+    opened = false;
+    StepReport report = engine.step(open);
+    if (sim::Tracer* t = cluster.tracer(); t && opened) {
+      report.snapshot.superstep = result.supersteps;
+      t->record_superstep(report.snapshot);
+    }
+    if (report.coherent && inspector) inspector(result.supersteps, states);
+    // The consistent cut for fault injection (DESIGN §5h).
+    if (opened) recoverer.on_coherency_point(result.supersteps, states);
+    if (report.converged) {
+      result.converged = true;
+      break;
+    }
   }
-  return "?";
+  finalize_result(result, cluster, dg, states);
+  return result;
 }
 
-/// Inverse of to_string(EngineKind). Also accepts the CLI short aliases
-/// ("sync", "async", "lazy-block", "lazy-vertex"); throws
-/// std::invalid_argument on anything else.
-inline EngineKind engine_kind_from_string(const std::string& s) {
-  for (EngineKind k : {EngineKind::kSync, EngineKind::kAsync,
-                       EngineKind::kLazyBlock, EngineKind::kLazyVertex}) {
-    if (s == to_string(k)) return k;
-  }
-  if (s == "sync") return EngineKind::kSync;
-  if (s == "async") return EngineKind::kAsync;
-  if (s == "lazy-block") return EngineKind::kLazyBlock;
-  if (s == "lazy-vertex") return EngineKind::kLazyVertex;
-  throw std::invalid_argument("unknown engine: " + s);
-}
-
-/// Everything one engine run needs beyond the graph, program and cluster.
-/// Common fields are hoisted; engine-specific knobs apply only to the kind
-/// that reads them and are harmless otherwise.
-struct RunConfig {
-  EngineKind kind = EngineKind::kLazyBlock;
-
-  // --- common ---
-  /// Bound on outer iterations: supersteps (sync/lazy-block), Gauss-Seidel
-  /// rounds (async), queue cycles (lazy-vertex).
-  std::uint64_t max_supersteps = 1'000'000;
-  /// E/V ratio of the user-view graph feeding the adaptive interval model;
-  /// <= 0 derives it from the DistributedGraph's user view.
-  double graph_ev_ratio = 0.0;
-  /// Optional span/snapshot recorder, attached to the cluster for the run.
-  sim::Tracer* tracer = nullptr;
-  /// Direction policy for the chunked snapshot sweeps (sync scatter and
-  /// lazy-block coherency sweeps): push staging, CSC pull, or the adaptive
-  /// frontier-density rule. The Gauss-Seidel sweeps (async, lazy-vertex,
-  /// lazy-block Stage 1) are push by definition and ignore it.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-
-  // --- lazy-block ---
-  IntervalModelConfig interval = {};
-  CommModePolicy comm_policy = CommModePolicy::kAdaptive;
-
-  // --- lazy-vertex ---
-  /// Local applies a spanning replica may perform between coherency events.
-  std::uint32_t staleness = 4;
-
-  // --- pipeline-stage injection (plan layer; see src/plan/) ---
-  /// Global ids (ascending) restricting the engines' init-message placement
-  /// scan to this worklist. Results are bit-identical to a full scan whenever
-  /// the list covers every vertex the program would initialize — the pipeline
-  /// lowerer always passes the downstream stage's full scope, so this is
-  /// purely a sweep_scanned optimization. Not owned; may be null.
-  const std::vector<vid_t>* initial_frontier = nullptr;
-  /// Type-erased `const std::vector<typename P::VData>*` (indexed by global
-  /// id) seeding every replica's vdata instead of prog.init_data — the
-  /// carried-state warm start of pipeline refinement stages. Not owned.
-  const void* initial_state = nullptr;
-};
+}  // namespace detail
 
 /// Runs `prog` over `dg` on `cluster` with the engine cfg.kind selects.
 /// All engines return the same RunResult field set; when cfg.tracer is set
 /// it is attached for the duration of the run (restoring any tracer the
 /// cluster already had) and handed back via RunResult::trace. A non-empty
-/// `inspector` is called at every point where the engine guarantees
-/// coherent replicas (see each engine's set_coherency_inspector). It is an
-/// argument rather than a RunConfig field because its type depends on P.
+/// `inspector` is called at every step end where the engine's policy
+/// reports coherent replicas (each engine's step() documents its points).
+/// It is an argument rather than a RunConfig field because its type depends
+/// on P.
 template <VertexProgram P>
 RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
                  const P& prog, sim::Cluster& cluster,
                  std::type_identity_t<CoherencyInspector<P>> inspector = {}) {
+  require(cluster.num_machines() == dg.num_machines(),
+          "engine::run: cluster/graph machine count mismatch");
   sim::Tracer* const previous = cluster.tracer();
   if (cfg.tracer) {
     cluster.set_tracer(cfg.tracer);
     cfg.tracer->set_run_info(to_string(cfg.kind));
   }
-  const double ev_ratio =
-      cfg.graph_ev_ratio > 0.0 ? cfg.graph_ev_ratio : dg.user_ev_ratio();
 
   // Lower the global-id injection into per-machine state. The frontier is
   // translated by scanning each machine's replicas in ascending lvid order
@@ -127,29 +109,23 @@ RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
   const InitInjection* injp =
       (inj.has_frontier || inj.vdata) ? &inj : nullptr;
 
-  auto run_engine = [&](auto&& e) {
-    e.set_coherency_inspector(std::move(inspector));
-    return e.run();
-  };
   RunResult<P> result;
   switch (cfg.kind) {
     case EngineKind::kSync:
-      result = run_engine(SyncEngine<P>(
-          dg, prog, cluster, {cfg.max_supersteps, injp, cfg.sweep}));
+      result = detail::drive<SyncEngine>(cfg, injp, dg, prog, cluster,
+                                         inspector);
       break;
     case EngineKind::kAsync:
-      result = run_engine(
-          AsyncEngine<P>(dg, prog, cluster, {cfg.max_supersteps, injp}));
+      result = detail::drive<AsyncEngine>(cfg, injp, dg, prog, cluster,
+                                          inspector);
       break;
     case EngineKind::kLazyBlock:
-      result = run_engine(LazyBlockAsyncEngine<P>(
-          dg, prog, cluster,
-          {cfg.max_supersteps, cfg.interval, cfg.comm_policy, injp, cfg.sweep},
-          ev_ratio));
+      result = detail::drive<LazyBlockAsyncEngine>(cfg, injp, dg, prog,
+                                                   cluster, inspector);
       break;
     case EngineKind::kLazyVertex:
-      result = run_engine(LazyVertexAsyncEngine<P>(
-          dg, prog, cluster, {cfg.max_supersteps, cfg.staleness, injp}));
+      result = detail::drive<LazyVertexAsyncEngine>(cfg, injp, dg, prog,
+                                                    cluster, inspector);
       break;
   }
   if (cfg.tracer) cluster.set_tracer(previous);

@@ -32,11 +32,11 @@ namespace lazygraph::engine {
 template <VertexProgram P>
 struct PartState;
 
-/// Observation hook for correctness harnesses: engines invoke it at every
-/// point where the protocol guarantees all replicas of a vertex hold an
-/// identical global view (see each engine's set_coherency_inspector for the
-/// exact points). Receives the superstep counter and the full per-machine
-/// replica state, read-only.
+/// Observation hook for correctness harnesses, passed to engine::run: its
+/// driver invokes it at every step end where the engine's policy reports
+/// that all replicas of a vertex hold an identical global view (each
+/// engine's step() documents its points). Receives the superstep counter
+/// and the full per-machine replica state, read-only.
 template <VertexProgram P>
 using CoherencyInspector = std::function<void(
     std::uint64_t superstep, const std::vector<PartState<P>>& states)>;
@@ -133,10 +133,9 @@ struct SweepScratch {
   std::vector<std::vector<lvid_t>> delta_activations;
   // Edge-balanced chunk decomposition of the current sweep's item list:
   // bounds[c]..bounds[c+1] are the items of chunk c, closed at a fixed
-  // cumulative (1 + out-degree) budget; edges[c] is the chunk's weight (the
-  // bucket reserve hint). Degree-derived, so fixed by the frontier.
+  // cumulative (1 + out-degree) budget. Degree-derived, so fixed by the
+  // frontier.
   std::vector<std::size_t> chunk_bounds;
-  std::vector<std::uint64_t> chunk_edges;
   // Static edge-balanced decomposition of the target id space for the pull
   // fold, weighted by (1 + local in-degree); built once per part (empty =
   // not built yet) since it does not depend on the frontier.
@@ -167,7 +166,6 @@ struct SweepScratch {
                     buckets.capacity() * sizeof(Bucket) +
                     chunk_counters.capacity() * sizeof(SweepCounters) +
                     chunk_bounds.capacity() * sizeof(std::size_t) +
-                    chunk_edges.capacity() * sizeof(std::uint64_t) +
                     target_bounds.capacity() * sizeof(std::size_t);
     for (const Bucket& bk : buckets) {
       b += (bk.msgs.capacity() + bk.deltas.capacity()) * kPair;

@@ -44,11 +44,12 @@ struct ChunkParse {
   std::size_t error_pos = 0;
 };
 
-// Parses one "src dst [weight]" line (istream-compatible semantics: ids are
-// read as uint64 then narrowed to vid_t, a missing or unparsable weight
-// defaults to 1.0, trailing content is ignored). Returns null on success,
-// else why the line is rejected: no parsable endpoints, or a weight that is
-// NaN, infinite, or outside the float range edges store.
+// Parses one "src dst [weight]" line (a missing weight defaults to 1.0;
+// trailing content after the last field is ignored). Returns null on
+// success, else why the line is rejected: no parsable endpoints, an id that
+// leaves no room for the vertex count (max id + 1) in vid_t, an unparsable
+// weight, or a weight that is NaN, infinite, or outside the float range
+// edges store.
 const char* parse_line(const char* begin, const char* end, ChunkParse& out) {
   const auto skip_ws = [&](const char* p) {
     while (p < end && is_line_space(*p)) ++p;
@@ -61,14 +62,18 @@ const char* parse_line(const char* begin, const char* end, ChunkParse& out) {
   p = skip_ws(r.ptr);
   r = std::from_chars(p, end, dst);
   if (r.ec != std::errc{}) return "malformed edge-list line";
+  constexpr std::uint64_t kMaxId = std::numeric_limits<vid_t>::max() - 1;
+  if (src > kMaxId || dst > kMaxId) return "vertex id out of range";
   p = skip_ws(r.ptr);
   double weight = 1.0;
   if (p < end) {
     const auto wr = std::from_chars(p, end, weight);
-    if (wr.ec != std::errc{}) weight = 1.0;
-    if (!(std::abs(weight) <= std::numeric_limits<float>::max())) {
-      return "non-finite edge weight";
+    if (wr.ec == std::errc::result_out_of_range ||
+        (wr.ec == std::errc{} &&
+         !(std::abs(weight) <= std::numeric_limits<float>::max()))) {
+      return "non-finite or out-of-range edge weight";
     }
+    if (wr.ec != std::errc{}) return "malformed edge weight";
   }
   out.edges.push_back({static_cast<vid_t>(src), static_cast<vid_t>(dst),
                        static_cast<float>(weight)});

@@ -26,14 +26,14 @@
 // engines). The dead machine's memory is poisoned before the restore so any
 // accidental dependence on dead state would surface immediately.
 //
-// The Recoverer runs serially on the engine's main thread (never inside
+// The Recoverer runs serially on the driver's thread (never inside
 // parallel_machines), so recovery is deterministic across cluster thread
 // counts. With an empty failure plan every call is a no-op: failure-free
 // runs keep no images, take no copies, and charge nothing.
 #pragma once
 
+#include <concepts>
 #include <cstring>
-#include <functional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -45,18 +45,22 @@
 
 namespace lazygraph::recovery {
 
-template <engine::VertexProgram P>
+/// An engine with private per-machine state beyond PartState (the
+/// lazy-vertex queues): the guard image carries it as one blob per machine,
+/// and a rebuild restores it alongside the replica tables.
+template <class E>
+concept HasExtraState = requires(E& e, const E& ce, machine_t m,
+                                 const std::vector<std::uint8_t>& blob) {
+  { ce.save_extra_state(m) } -> std::same_as<std::vector<std::uint8_t>>;
+  e.restore_extra_state(m, blob);
+};
+
+template <engine::VertexProgram P, class Engine>
 class Recoverer {
  public:
-  /// Engine-private per-machine state beyond PartState (e.g. the lazy-vertex
-  /// engine's pending queue): serialized into the guard image and restored
-  /// after a rebuild through these hooks.
-  using SaveExtra = std::function<std::vector<std::uint8_t>(machine_t)>;
-  using RestoreExtra =
-      std::function<void(machine_t, const std::vector<std::uint8_t>&)>;
-
-  Recoverer(sim::Cluster& cluster, const partition::DistributedGraph& dg)
-      : cluster_(cluster), dg_(dg) {
+  Recoverer(sim::Cluster& cluster, const partition::DistributedGraph& dg,
+            Engine& engine)
+      : cluster_(cluster), dg_(dg), engine_(engine) {
     static_assert(std::is_trivially_copyable_v<typename P::VData>,
                   "recovery diffs VData bytewise");
     static_assert(std::is_trivially_copyable_v<typename P::Msg>,
@@ -72,12 +76,8 @@ class Recoverer {
 
   bool enabled() const { return !events_.empty(); }
 
-  void set_extra_state_hooks(SaveExtra save, RestoreExtra restore) {
-    save_extra_ = std::move(save);
-    restore_extra_ = std::move(restore);
-  }
-
-  /// Called by the engines at every coherency point, after the inspector:
+  /// Called by engine::run's driver at the end of every counted superstep,
+  /// after the inspector:
   /// updates the guard image (charging delta-log traffic), then fires any
   /// kill scheduled for this superstep and rebuilds the machine.
   void on_coherency_point(std::uint64_t superstep,
@@ -106,9 +106,9 @@ class Recoverer {
       // up to here was produced by init + already-charged protocol traffic.
       image_ = states;
       extra_.resize(states.size());
-      if (save_extra_) {
+      if constexpr (HasExtraState<Engine>) {
         for (machine_t m = 0; m < dg_.num_machines(); ++m) {
-          extra_[m] = save_extra_(m);
+          extra_[m] = engine_.save_extra_state(m);
         }
       }
       cluster_.charge_guard(0, 0);
@@ -147,8 +147,8 @@ class Recoverer {
           ++entries;
         }
       }
-      if (save_extra_) {
-        std::vector<std::uint8_t> blob = save_extra_(m);
+      if constexpr (HasExtraState<Engine>) {
+        std::vector<std::uint8_t> blob = engine_.save_extra_state(m);
         if (blob != extra_[m]) {
           bytes += blob.size();
           ++entries;
@@ -217,7 +217,9 @@ class Recoverer {
     // (`dg_` — partition::ArtifactCache holds it; no re-ingest), the state
     // from mirrors + log, which is exactly the guard image.
     s = img;
-    if (restore_extra_) restore_extra_(m, extra_[m]);
+    if constexpr (HasExtraState<Engine>) {
+      engine_.restore_extra_state(m, extra_[m]);
+    }
     cluster_.charge_recovery(charge);
   }
 
@@ -225,9 +227,8 @@ class Recoverer {
   const partition::DistributedGraph& dg_;
   std::vector<sim::FailureEvent> events_;
   std::vector<engine::PartState<P>> image_;
+  Engine& engine_;
   std::vector<std::vector<std::uint8_t>> extra_;
-  SaveExtra save_extra_;
-  RestoreExtra restore_extra_;
 };
 
 }  // namespace lazygraph::recovery

@@ -4,8 +4,8 @@
 // global allocator with counting versions and samples the counter at every
 // coherency point; once warm (worklists, scratch, and chunk buckets have
 // reached their high-water capacity), each further superstep's delta must
-// be exactly zero. Also home to the inspector parity check between
-// engine::run and direct engine construction.
+// be exactly zero. Also home to the check of the driver's inspector
+// schedule on every engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,20 +58,23 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace lazygraph {
 namespace {
 
-/// Samples g_allocs at each coherency point and returns the per-superstep
-/// deltas. The sample vector is pre-reserved so the probe itself never
-/// allocates inside the run.
-template <class Engine>
-std::vector<std::uint64_t> alloc_deltas(Engine& eng, std::size_t max_steps) {
+/// Runs `cfg` through engine::run, samples g_allocs at each coherency point
+/// and returns the per-superstep deltas. The sample vector is pre-reserved
+/// so the probe itself never allocates inside the run.
+template <class P>
+std::vector<std::uint64_t> alloc_deltas(const engine::RunConfig& cfg,
+                                        const partition::DistributedGraph& dg,
+                                        const P& prog, sim::Cluster& cluster,
+                                        std::size_t max_steps) {
   std::vector<std::uint64_t> samples;
   samples.reserve(max_steps);
-  eng.set_coherency_inspector(
-      [&](std::uint64_t, const auto&) {
-        if (samples.size() < samples.capacity()) {
-          samples.push_back(g_allocs.load(std::memory_order_relaxed));
-        }
-      });
-  const auto r = eng.run();
+  const auto r = engine::run(cfg, dg, prog, cluster,
+                             [&](std::uint64_t, const auto&) {
+                               if (samples.size() < samples.capacity()) {
+                                 samples.push_back(g_allocs.load(
+                                     std::memory_order_relaxed));
+                               }
+                             });
   EXPECT_TRUE(r.converged);
   std::vector<std::uint64_t> deltas;
   for (std::size_t i = 1; i < samples.size(); ++i) {
@@ -97,12 +100,13 @@ TEST(AllocProbe, SyncEngineSteadyStateAllocatesNothing) {
   // Forced push: the adaptive direction switch would warm the pull path's
   // buffers whenever it first flips mid-run; each direction gets its own
   // pinned probe instead.
-  engine::SyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPush});
   // Warmup 3: worklists and chunk buckets hit their high-water marks while
   // the frontier is still near-full.
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kSync,
+                    .sweep = engine::SweepDirection::kPush},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
 TEST(AllocProbe, LazyBlockEngineSteadyStateAllocatesNothing) {
@@ -112,10 +116,12 @@ TEST(AllocProbe, LazyBlockEngineSteadyStateAllocatesNothing) {
       testsupport::build_dgraph(g, 4, partition::CutKind::kCoordinated, 7,
                                 /*split=*/true);
   auto cluster = testsupport::make_cluster(4);
-  engine::LazyBlockAsyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPush}, g.edge_vertex_ratio());
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
+                    .graph_ev_ratio = g.edge_vertex_ratio(),
+                    .sweep = engine::SweepDirection::kPush},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
 // The pull direction must be just as allocation-free once its payload slots
@@ -128,58 +134,21 @@ TEST(AllocProbe, LazyBlockForcedPullSteadyStateAllocatesNothing) {
       testsupport::build_dgraph(g, 4, partition::CutKind::kCoordinated, 7,
                                 /*split=*/true);
   auto cluster = testsupport::make_cluster(4);
-  engine::LazyBlockAsyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPull}, g.edge_vertex_ratio());
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
+                    .graph_ev_ratio = g.edge_vertex_ratio(),
+                    .sweep = engine::SweepDirection::kPull},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
-// engine::run with an inspector must behave exactly like constructing the
-// engine directly and attaching the inspector: the same firing supersteps,
-// and the last call sees the final replica state RunResult::data reports.
-// Covers all four engines, split and unsplit where the engine accepts it.
-struct InspectorTrace {
-  std::vector<std::uint64_t> steps;
-  std::vector<algos::PageRankDelta::VData> last;
-};
-
-engine::CoherencyInspector<algos::PageRankDelta> recording(
-    const partition::DistributedGraph& dg, InspectorTrace& t) {
-  return [&dg, &t](std::uint64_t step, const auto& states) {
-    t.steps.push_back(step);
-    t.last = engine::collect_master_data(dg, states);
-  };
-}
-
-InspectorTrace direct_trace(engine::EngineKind kind,
-                            const partition::DistributedGraph& dg,
-                            const algos::PageRankDelta& prog) {
-  InspectorTrace t;
-  auto cluster = testsupport::make_cluster(dg.num_machines());
-  auto run = [&](auto&& eng) {
-    eng.set_coherency_inspector(recording(dg, t));
-    EXPECT_TRUE(eng.run().converged);
-  };
-  switch (kind) {
-    case engine::EngineKind::kSync:
-      run(engine::SyncEngine<algos::PageRankDelta>(dg, prog, cluster));
-      break;
-    case engine::EngineKind::kAsync:
-      run(engine::AsyncEngine<algos::PageRankDelta>(dg, prog, cluster));
-      break;
-    case engine::EngineKind::kLazyBlock:
-      run(engine::LazyBlockAsyncEngine<algos::PageRankDelta>(
-          dg, prog, cluster, {}, dg.user_ev_ratio()));
-      break;
-    case engine::EngineKind::kLazyVertex:
-      run(engine::LazyVertexAsyncEngine<algos::PageRankDelta>(dg, prog,
-                                                              cluster));
-      break;
-  }
-  return t;
-}
-
-TEST(InspectorParity, RunFiresLikeDirectConstructionOnEveryEngine) {
+// The driver fires the inspector at each engine's coherency points and
+// nowhere else: sync, async and lazy-block at the end of every superstep
+// (1..supersteps, the terminal quiescent exchange included), lazy-vertex
+// once, at termination (its counted cycles leave deliveries pending). The
+// last call sees the final replica state RunResult::data reports. Covers
+// all four engines, split and unsplit where the engine accepts it.
+TEST(InspectorSchedule, FiresAtEachEnginesCoherencyPoints) {
   const Graph g =
       datasets::make(datasets::spec_by_name("webgoogle-like"), 0.02);
   const algos::PageRankDelta prog{.tol = 1e-3};
@@ -194,19 +163,28 @@ TEST(InspectorParity, RunFiresLikeDirectConstructionOnEveryEngine) {
       if (split && eager) continue;  // eager engines run unsplit only
       const std::string tag = std::string(engine::to_string(kind)) +
                               (split ? "/split" : "/unsplit");
-      const InspectorTrace want = direct_trace(kind, dg, prog);
-
-      InspectorTrace got;
+      std::vector<std::uint64_t> steps;
+      std::vector<algos::PageRankDelta::VData> last;
       auto cluster = testsupport::make_cluster(4);
-      const auto r = engine::run({.kind = kind}, dg, prog, cluster,
-                                 recording(dg, got));
+      const auto r = engine::run(
+          {.kind = kind}, dg, prog, cluster,
+          [&](std::uint64_t step, const auto& states) {
+            steps.push_back(step);
+            last = engine::collect_master_data(dg, states);
+          });
       ASSERT_TRUE(r.converged) << tag;
-      ASSERT_FALSE(got.steps.empty()) << tag;
-      EXPECT_EQ(got.steps, want.steps) << tag;
-      ASSERT_EQ(got.last.size(), r.data.size()) << tag;
+      ASSERT_GT(r.supersteps, 1u) << tag;
+      std::vector<std::uint64_t> want;
+      if (kind == engine::EngineKind::kLazyVertex) {
+        want = {r.supersteps};
+      } else {
+        for (std::uint64_t s = 1; s <= r.supersteps; ++s) want.push_back(s);
+      }
+      EXPECT_EQ(steps, want) << tag;
+      ASSERT_EQ(last.size(), r.data.size()) << tag;
       for (std::size_t v = 0; v < r.data.size(); ++v) {
-        ASSERT_EQ(got.last[v].rank, r.data[v].rank) << tag << " vertex " << v;
-        ASSERT_EQ(got.last[v].pending_delta, r.data[v].pending_delta)
+        ASSERT_EQ(last[v].rank, r.data[v].rank) << tag << " vertex " << v;
+        ASSERT_EQ(last[v].pending_delta, r.data[v].pending_delta)
             << tag << " vertex " << v;
       }
     }

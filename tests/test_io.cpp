@@ -45,7 +45,8 @@ TEST(EdgeListIo, RejectsMalformedLine) {
 // lines, and the error names the offending line by number and text — at
 // any parse thread count.
 TEST(EdgeListIo, RejectsNonFiniteWeightsWithLineNumber) {
-  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e39"}) {
+  for (const char* bad :
+       {"nan", "-nan", "inf", "-inf", "infinity", "1e39", "1e400"}) {
     const std::string line = std::string("2 3 ") + bad;
     const std::string text = "# header\n0 1 2.5\n1 2\n" + line + "\n3 0\n";
     for (const std::size_t threads : {1u, 4u}) {
@@ -57,6 +58,42 @@ TEST(EdgeListIo, RejectsNonFiniteWeightsWithLineNumber) {
         EXPECT_NE(what.find("line 4:"), std::string::npos) << what;
         EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
         EXPECT_NE(what.find(line), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+TEST(EdgeListIo, RejectsMalformedWeightWithLineNumber) {
+  const std::string text = "0 1 2.5\n1 2\n2 3 abc\n3 0\n";
+  for (const std::size_t threads : {1u, 4u}) {
+    try {
+      io::read_edge_list_text(text, {.threads = threads});
+      FAIL() << "unparsable weight accepted at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3: malformed edge weight: 2 3 abc"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(EdgeListIo, RejectsVertexIdsOutsideVidRangeWithLineNumber) {
+  // 5000000000 would narrow to 705032704; 4294967295 would wrap the vertex
+  // count max_id + 1 to zero.
+  for (const char* bad : {"1 5000000000", "5000000000 1", "4294967295 0",
+                          "0 4294967295"}) {
+    const std::string text = std::string("0 1\n1 2\n") + bad + "\n2 0\n";
+    for (const std::size_t threads : {1u, 4u}) {
+      try {
+        io::read_edge_list_text(text, {.threads = threads});
+        FAIL() << bad << " accepted at threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("line 3: vertex id out of range: ") +
+                            bad),
+                  std::string::npos)
+            << what;
       }
     }
   }

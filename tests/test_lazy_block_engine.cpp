@@ -8,17 +8,14 @@ namespace {
 using testsupport::build_dgraph;
 using testsupport::make_cluster;
 
-struct LazyParams {
-  engine::LazyOptions lazy;
-  double graph_ev_ratio = 0.0;
-};
+const engine::RunConfig kSync{.kind = engine::EngineKind::kSync};
 
-LazyParams lazy_opts(const Graph& g,
-                     engine::IntervalPolicy policy =
-                         engine::IntervalPolicy::kAdaptive) {
-  LazyParams o;
-  o.graph_ev_ratio = g.edge_vertex_ratio();
-  o.lazy.interval.policy = policy;
+engine::RunConfig lazy_opts(const Graph& g,
+                            engine::IntervalPolicy policy =
+                                engine::IntervalPolicy::kAdaptive) {
+  engine::RunConfig o{.kind = engine::EngineKind::kLazyBlock,
+                      .graph_ev_ratio = g.edge_vertex_ratio()};
+  o.interval.policy = policy;
   return o;
 }
 
@@ -27,9 +24,7 @@ TEST(LazyBlockEngine, OneSyncPerSuperstep) {
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
   const auto opts = lazy_opts(g);
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(cl.metrics().global_syncs, r.supersteps);
 }
@@ -39,14 +34,14 @@ TEST(LazyBlockEngine, ReplicasCoherentAtTermination) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto opts = lazy_opts(g);
-  engine::LazyBlockAsyncEngine eng(dg, algos::SSSP{.source = 0}, cl, opts.lazy,
-                                   opts.graph_ev_ratio);
-  const auto r = eng.run();
+  std::vector<engine::PartState<algos::SSSP>> states;
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl,
+                             testsupport::keep_last_states(states));
   ASSERT_TRUE(r.converged);
   // The paper's correctness claim (Section 3.5): once quiescent, all
   // replicas of a vertex share the same global view.
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, states,
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
@@ -59,11 +54,12 @@ TEST(LazyBlockEngine, PagerankReplicasConvergeToSameRanks) {
   auto cl = make_cluster(6);
   const auto opts = lazy_opts(g);
   const algos::PageRankDelta pr{.tol = 1e-4};
-  engine::LazyBlockAsyncEngine eng(dg, pr, cl, opts.lazy, opts.graph_ev_ratio);
-  const auto r = eng.run();
+  std::vector<engine::PartState<algos::PageRankDelta>> states;
+  const auto r =
+      engine::run(opts, dg, pr, cl, testsupport::keep_last_states(states));
   ASSERT_TRUE(r.converged);
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, states,
       [](const algos::PageRankDelta::VData& a,
          const algos::PageRankDelta::VData& b) {
         return std::abs(a.rank - b.rank) < 1e-9;
@@ -80,9 +76,7 @@ TEST_P(LazyPolicyCorrectness, Sssp) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 3}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 3}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 3, r.data);
 }
@@ -92,10 +86,7 @@ TEST_P(LazyPolicyCorrectness, Cc) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::ConnectedComponents{},
-                                              cl, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, algos::ConnectedComponents{}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_cc_exact(g, r.data);
 }
@@ -105,9 +96,7 @@ TEST_P(LazyPolicyCorrectness, Kcore) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::KCore{.k = 5}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, algos::KCore{.k = 5}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 5, r.data);
 }
@@ -118,9 +107,7 @@ TEST_P(LazyPolicyCorrectness, Pagerank) {
   auto cl = make_cluster(8);
   const auto opts = lazy_opts(g, GetParam());
   const algos::PageRankDelta pr{.tol = 1e-4};
-  const auto r = engine::LazyBlockAsyncEngine(dg, pr, cl, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, pr, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_pagerank_close(g, r.data, 1e-4);
 }
@@ -145,10 +132,8 @@ TEST_P(LazyCommModeCorrectness, KcoreUsesInverseUnderM2m) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   auto opts = lazy_opts(g);
-  opts.lazy.comm_policy = GetParam();
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::KCore{.k = 4}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  opts.comm_policy = GetParam();
+  const auto r = engine::run(opts, dg, algos::KCore{.k = 4}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 4, r.data);
 }
@@ -158,10 +143,8 @@ TEST_P(LazyCommModeCorrectness, SsspIdempotentUnderBothModes) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   auto opts = lazy_opts(g);
-  opts.lazy.comm_policy = GetParam();
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 1}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  opts.comm_policy = GetParam();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 1}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 1, r.data);
 }
@@ -186,14 +169,8 @@ TEST(LazyBlockEngine, ParallelEdgesPreserveResults) {
   const auto opts = lazy_opts(g);
   auto cl1 = make_cluster(8);
   auto cl2 = make_cluster(8);
-  const auto a = engine::LazyBlockAsyncEngine(dg_plain, algos::SSSP{.source = 0},
-                                              cl1, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
-  const auto b = engine::LazyBlockAsyncEngine(dg_split, algos::SSSP{.source = 0},
-                                              cl2, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto a = engine::run(opts, dg_plain, algos::SSSP{.source = 0}, cl1);
+  const auto b = engine::run(opts, dg_split, algos::SSSP{.source = 0}, cl2);
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
@@ -208,11 +185,9 @@ TEST(LazyBlockEngine, FarFewerSyncsThanSyncOnRoadSssp) {
   const auto dg = build_dgraph(g, 8);
   auto cl_sync = make_cluster(8);
   auto cl_lazy = make_cluster(8);
-  (void)engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl_sync).run();
+  (void)engine::run(kSync, dg, algos::SSSP{.source = 0}, cl_sync);
   const auto opts = lazy_opts(g);
-  (void)engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl_lazy,
-                                     opts.lazy, opts.graph_ev_ratio)
-      .run();
+  (void)engine::run(opts, dg, algos::SSSP{.source = 0}, cl_lazy);
   EXPECT_LT(cl_lazy.metrics().global_syncs,
             cl_sync.metrics().global_syncs / 4);
 }
@@ -225,11 +200,9 @@ TEST(LazyBlockEngine, LessTrafficThanSyncOnPagerank) {
   const auto dg = build_dgraph(g, 16);
   auto cl_sync = make_cluster(16);
   auto cl_lazy = make_cluster(16);
-  (void)engine::SyncEngine(dg, algos::PageRankDelta{}, cl_sync).run();
+  (void)engine::run(kSync, dg, algos::PageRankDelta{}, cl_sync);
   const auto opts = lazy_opts(g);
-  (void)engine::LazyBlockAsyncEngine(dg, algos::PageRankDelta{}, cl_lazy,
-                                     opts.lazy, opts.graph_ev_ratio)
-      .run();
+  (void)engine::run(opts, dg, algos::PageRankDelta{}, cl_lazy);
   EXPECT_LT(cl_lazy.metrics().global_syncs, cl_sync.metrics().global_syncs);
   EXPECT_LT(cl_lazy.metrics().network_bytes, cl_sync.metrics().network_bytes);
 }
@@ -242,11 +215,9 @@ TEST(LazyBlockEngine, DeterministicAcrossRuns) {
   auto cl2 = make_cluster(6);
   const algos::PageRankDelta pr{.tol = 1e-4};
   const auto a =
-      engine::LazyBlockAsyncEngine(dg, pr, cl1, opts.lazy, opts.graph_ev_ratio)
-          .run();
+      engine::run(opts, dg, pr, cl1);
   const auto b =
-      engine::LazyBlockAsyncEngine(dg, pr, cl2, opts.lazy, opts.graph_ev_ratio)
-          .run();
+      engine::run(opts, dg, pr, cl2);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.data[v].rank, b.data[v].rank);  // bit-identical
   }
@@ -259,10 +230,8 @@ TEST(LazyBlockEngine, MaxSuperstepsBoundsRun) {
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
   auto opts = lazy_opts(g);
-  opts.lazy.max_supersteps = 2;
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  opts.max_supersteps = 2;
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_FALSE(r.converged);
 }
 

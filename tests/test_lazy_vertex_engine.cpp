@@ -8,12 +8,14 @@ namespace {
 using testsupport::build_dgraph;
 using testsupport::make_cluster;
 
+const engine::RunConfig kLazyVertex{.kind = engine::EngineKind::kLazyVertex};
+
 TEST(LazyVertexEngine, BarrierFree) {
   const Graph g = gen::erdos_renyi(200, 1000, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+      engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(cl.metrics().global_syncs, 0u);
   EXPECT_GT(cl.metrics().vertex_coherency_events, 0u);
@@ -24,7 +26,7 @@ TEST(LazyVertexEngine, SsspExact) {
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+      engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
 }
@@ -34,8 +36,7 @@ TEST(LazyVertexEngine, CcExact) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::ConnectedComponents{}, cl)
-          .run();
+      engine::run(kLazyVertex, dg, algos::ConnectedComponents{}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_cc_exact(g, r.data);
 }
@@ -45,7 +46,7 @@ TEST(LazyVertexEngine, KcoreExactWithInversePath) {
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::KCore{.k = 5}, cl).run();
+      engine::run(kLazyVertex, dg, algos::KCore{.k = 5}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 5, r.data);
 }
@@ -55,7 +56,7 @@ TEST(LazyVertexEngine, PagerankWithinTolerance) {
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
   const algos::PageRankDelta pr{.tol = 1e-4};
-  const auto r = engine::LazyVertexAsyncEngine(dg, pr, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, pr, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_pagerank_close(g, r.data, 1e-4);
 }
@@ -64,11 +65,12 @@ TEST(LazyVertexEngine, ReplicasCoherentAtTermination) {
   const Graph g = gen::rmat(8, 6, 0.55, 0.2, 0.2, 5, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  engine::LazyVertexAsyncEngine eng(dg, algos::SSSP{.source = 0}, cl);
-  const auto r = eng.run();
+  std::vector<engine::PartState<algos::SSSP>> states;
+  const auto r = engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl,
+                             testsupport::keep_last_states(states));
   ASSERT_TRUE(r.converged);
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, states,
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
@@ -82,11 +84,10 @@ TEST_P(LazyVertexStaleness, SsspExactAtAnyStaleness) {
   const Graph g = gen::road_lattice(15, 15, 0.3, 5, {1.0f, 7.0f});
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = GetParam();
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 2}, cl, opts)
-          .run();
+      engine::run(opts, dg, algos::SSSP{.source = 2}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 2, r.data);
 }
@@ -95,10 +96,10 @@ TEST_P(LazyVertexStaleness, KcoreExactAtAnyStaleness) {
   const Graph g = gen::erdos_renyi(300, 1800, 41).symmetrized();
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = GetParam();
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::KCore{.k = 6}, cl, opts).run();
+      engine::run(opts, dg, algos::KCore{.k = 6}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 6, r.data);
 }
@@ -113,10 +114,9 @@ TEST(LazyVertexEngine, HigherStalenessFewerCoherencyEvents) {
   int i = 0;
   for (const std::uint32_t staleness : {1u, 64u}) {
     auto cl = make_cluster(8);
-    engine::LazyVertexOptions opts;
+    engine::RunConfig opts = kLazyVertex;
     opts.staleness = staleness;
-    (void)engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl, opts)
-        .run();
+    (void)engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
     events[i++] = cl.metrics().vertex_coherency_events;
   }
   EXPECT_GE(events[0], events[1]);
@@ -129,7 +129,7 @@ TEST(LazyVertexEngine, WorksOnSplitGraphs) {
   ASSERT_GT(dg.parallel_edge_copies(), 0u);
   auto cl = make_cluster(8);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+      engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
 }
@@ -144,7 +144,7 @@ TEST(LazyVertexEngine, SuperstepCountMatchesTraceSnapshots) {
   sim::Tracer tracer;
   cl.set_tracer(&tracer);
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+      engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(tracer.snapshots().size(), r.supersteps);
   EXPECT_EQ(r.metrics.supersteps, r.supersteps);
@@ -165,11 +165,10 @@ TEST(LazyVertexEngine, DrainCycleSnapshotsReportDeliveredActivations) {
   auto cl = make_cluster(2);
   sim::Tracer tracer;
   cl.set_tracer(&tracer);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = 1000;  // never reach a per-vertex coherency event
   const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl, opts)
-          .run();
+      engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
   // The far end of the path is only reachable through drain-cycle flushes.

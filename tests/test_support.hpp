@@ -66,6 +66,17 @@ inline void expect_pagerank_close(
   }
 }
 
+/// A coherency inspector that keeps a copy of the replica states its last
+/// call saw: the final states of any converged run, since every engine
+/// fires at its last step end (lazy-vertex once, at termination).
+template <class P>
+engine::CoherencyInspector<P> keep_last_states(
+    std::vector<engine::PartState<P>>& out) {
+  return [&out](std::uint64_t, const std::vector<engine::PartState<P>>& s) {
+    out = s;
+  };
+}
+
 /// All replicas of every vertex hold the same final state (the paper's
 /// coherency guarantee at termination), compared via `eq`.
 template <class P, class Eq>
